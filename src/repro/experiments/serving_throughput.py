@@ -1,9 +1,9 @@
-"""Serving-throughput bench: the concurrent front end vs serial serving.
+"""Serving-throughput bench: the cached front end vs serial serving.
 
 The first *throughput* baseline of the repo: how many global queries per
 second the :class:`~repro.serving.frontend.ServingFrontEnd` sustains on
-a repeated-class workload, against the serial reference (one synchronous
-``server.execute`` at a time, no plan cache, probe-per-optimization).
+a repeated-class workload, against the serial reference (no plan cache,
+probe-per-optimization).
 
 Levels share one trained universe: models are derived once, exported
 through the registry payload, and imported into a *fresh* identically
@@ -13,20 +13,23 @@ only in serving configuration:
 
 * ``serial`` — workers=1, plan cache off, probe TTL 0: byte-identical
   to calling ``MDBSServer.execute`` in a loop (the pre-serving repo);
-* ``pool-N`` — N workers, plan cache on, probes cached: repeats are
-  admitted concurrently and served from the plan cache, skipping the
-  optimizer and the probing queries entirely.
+* ``pool-N`` — N simulated service slots, plan cache on, probes cached:
+  repeats are served from the plan cache, skipping the optimizer and
+  the probing queries entirely.
 
-On a single CPU (and under the GIL) the pooled win comes from the work
-the cache *removes* — per-request optimization and probing — not from
-parallel execution; the bench reports both the throughput ratio and the
-probe/optimizer work avoided, so the mechanism is visible in the output.
+Requests always execute one at a time, so the cached levels' win over
+``serial`` is the work the cache *removes* — per-request optimization
+and probing — and ``pool-N`` levels differ only in simulated queueing
+(their latency percentiles).  The bench reports both the throughput
+ratio and the probe/optimizer work avoided, so the mechanism is visible
+in the output.
 
-Determinism note: rendered output contains only scheduling-independent
-facts (request counts, cache hit rates, join-site choices, probes
-executed).  Real-time numbers (QPS, latency percentiles) are returned in
-the result/JSON payload and printed to stderr by ``__main__`` — stdout
-stays byte-identical across runs, which the CI pool smoke relies on.
+Determinism note: rendered output contains only deterministic facts
+(request counts, cache hit rates, join-site choices, probes executed).
+QPS is a wall-clock measurement and latency percentiles are simulated
+seconds; both are returned in the result/JSON payload and printed to
+stderr by ``__main__`` — stdout stays byte-identical across runs, which
+the CI pool smoke relies on.
 """
 
 from __future__ import annotations
@@ -86,11 +89,11 @@ class LevelResult:
     plan_cache_hits: int
     plan_cache_misses: int
     probes_executed: int
-    #: join_site ("left"/"right") -> times chosen; scheduling-independent
-    #: because cached levels warm the cache single-threaded first.
+    #: join_site ("left"/"right") -> times chosen over the timed stream.
     join_sites: dict[str, int]
     wall_seconds: float
     qps: float
+    #: Simulated seconds from arrival to completion.
     latency_p50: float
     latency_p95: float
     latency_p99: float
@@ -194,16 +197,16 @@ def _run_level(
     )
     stream = [workload[i % len(workload)] for i in range(requests)]
     with ServingFrontEnd(server, serving_config) as frontend:
-        # Deterministic warm-up: optimize each distinct query once,
-        # single-threaded, from the level's initial state.  The flood
-        # below then runs all-hits, so the rendered join-site and hit
-        # counts do not depend on thread scheduling.
-        frontend.warm(workload)
+        # Untimed warm-up: serve each distinct query once, so the timed
+        # stream below runs all plan-cache hits on cached levels.
+        frontend.serve(workload)
+        warm = frontend.stats()
         started = time.perf_counter()
         tickets = frontend.serve(stream)
         wall = time.perf_counter() - started
         stats = frontend.stats()
 
+    completed = stats.completed - warm.completed
     latencies = sorted(
         t.latency_seconds for t in tickets if t.latency_seconds is not None
     )
@@ -221,14 +224,14 @@ def _run_level(
     return LevelResult(
         level=level,
         requests=requests,
-        completed=stats.completed,
+        completed=completed,
         dropped=stats.dropped,
         plan_cache_hits=stats.plan_cache_hits,
         plan_cache_misses=stats.plan_cache_misses,
         probes_executed=sum(server.probing.probes_executed.values()),
         join_sites=join_sites,
         wall_seconds=wall,
-        qps=stats.completed / wall if wall > 0 else 0.0,
+        qps=completed / wall if wall > 0 else 0.0,
         latency_p50=pct(0.50),
         latency_p95=pct(0.95),
         latency_p99=pct(0.99),
@@ -254,10 +257,11 @@ def run_serving_throughput(
 
 
 def render_serving_throughput(result: ServingThroughputResult) -> str:
-    """Scheduling-independent table: counts and rates only (no seconds).
+    """Deterministic table: counts and rates only (no seconds).
 
-    QPS and latency are real wall-clock measurements and vary run to
-    run; they live in :func:`serving_throughput_payload` and stderr.
+    QPS is a wall-clock measurement and varies run to run; it and the
+    simulated latency percentiles live in
+    :func:`serving_throughput_payload` and stderr.
     """
     headers = [
         "level",
@@ -299,11 +303,12 @@ def render_serving_throughput(result: ServingThroughputResult) -> str:
 
 
 def render_serving_timings(result: ServingThroughputResult) -> str:
-    """The wall-clock side (diagnostics; NOT byte-stable across runs)."""
+    """QPS (wall clock; NOT byte-stable across runs) and simulated
+    latency percentiles."""
     lines = [
-        f"{r.level.name}: {r.qps:.1f} qps  "
-        f"p50 {r.latency_p50 * 1e3:.2f}ms  p95 {r.latency_p95 * 1e3:.2f}ms  "
-        f"p99 {r.latency_p99 * 1e3:.2f}ms  wall {r.wall_seconds:.2f}s"
+        f"{r.level.name}: {r.qps:.1f} qps  wall {r.wall_seconds:.2f}s  "
+        f"simulated p50 {r.latency_p50:.2f}s  p95 {r.latency_p95:.2f}s  "
+        f"p99 {r.latency_p99:.2f}s"
         for r in result.levels
     ]
     lines.append(

@@ -2,8 +2,7 @@
 
 Observability that slows serving down gets turned off; this bench pins
 the cost.  Three modes serve the identical repeated-join workload
-(cache warmed, probes pinned, a single pool worker — see
-:data:`POOL_WORKERS`) and differ only in tracing:
+(cache warmed, probes pinned) and differ only in tracing:
 
 * ``off`` — no tracer installed: the no-op default every span call
   sites hits when tracing is disabled (the production baseline);
@@ -76,12 +75,6 @@ TRACE_MODES: tuple[tuple[str, float | None], ...] = (
     ("sampled", SAMPLED_RATE),
     ("full", 1.0),
 )
-
-#: The serving shape every mode runs.  A single worker on purpose: the
-#: effect under test is per-request recording cost, and pool-N GIL
-#: interleaving adds scheduling noise several times larger than the
-#: sub-5% effect the guard has to resolve.
-POOL_WORKERS = 1
 
 #: Requests served per mode per cycle.  Small enough that machine-load
 #: drift within one cycle is negligible, large enough that a batch's
@@ -180,7 +173,7 @@ class _ModeUniverse:
             server.register_agent(MDBSAgent(site.database))
         server.catalog.import_models(payload)
         serving_config = ServingConfig(
-            workers=POOL_WORKERS,
+            workers=1,
             queue_depth=max(64, BATCH),
             admission_policy="block",
             plan_cache=True,
@@ -189,7 +182,7 @@ class _ModeUniverse:
         )
         self.frontend = ServingFrontEnd(server, serving_config).start()
         # Warm untraced: cache priming is setup, not measured serving.
-        self.frontend.warm(workload)
+        self.frontend.serve(workload)
         self.tracer: obs.Tracer | None = (
             obs.Tracer() if rate is not None else None
         )
@@ -294,8 +287,8 @@ def run_trace_overhead(
         name: [] for name, _ in TRACE_MODES if name != "off"
     }
     try:
-        # One untimed warmup cycle per mode: first-batch costs (queue
-        # and lock warmup, branch caches) land nowhere.
+        # One untimed warmup cycle per mode: first-batch costs (branch
+        # caches, lazily bound metric handles) land nowhere.
         for universe in universes:
             universe.serve_batch(
                 [workload[i % len(workload)] for i in range(batch)],
@@ -377,8 +370,7 @@ def render_trace_overhead(result: TraceOverheadResult) -> str:
         rows,
         title=(
             f"Trace overhead: {result.rounds} rounds of "
-            f"{result.cycles}x{result.batch} interleaved batches per mode, "
-            f"pool-{POOL_WORKERS}"
+            f"{result.cycles}x{result.batch} interleaved batches per mode"
         ),
     )
 
@@ -416,7 +408,6 @@ def trace_overhead_payload(result: TraceOverheadResult) -> dict:
         "batch": result.batch,
         "cycles": result.cycles,
         "rounds": result.rounds,
-        "pool_workers": POOL_WORKERS,
         "modes": [
             {
                 "name": mode.name,

@@ -223,13 +223,18 @@ class GlobalQueryOptimizer:
         probing_cost: float | None,
     ) -> tuple[int, float]:
         """(state, seconds) — static middle-state prediction when no
-        probing cost could be determined (the chain's last fallback)."""
+        probing cost could be determined (the chain's last fallback).
+        A negative prediction is clamped to 0.0 and counted
+        (``mdbs.optimizer.negative_clamped``)."""
         if probing_cost is None:
             obs.inc("mdbs.optimizer.static_predictions")
             state = model.num_states // 2
         else:
             state = model.state_for(probing_cost)
-        return state, max(0.0, model.predict_in_state(values, state))
+        seconds = model.predict_in_state(values, state)
+        if seconds < 0.0:
+            obs.inc("mdbs.optimizer.negative_clamped")
+        return state, max(0.0, seconds)
 
     # -- local estimation ----------------------------------------------------
 

@@ -126,7 +126,7 @@ class MDBSServer:
         #: One re-entrant lock per site: everything that advances a
         #: site's simulated clock or touches its engine state (plan
         #: steps, temp tables, probing queries) runs under its lock, so
-        #: serving-layer worker threads interleave safely.  Shared with
+        #: callers on different threads interleave safely.  Shared with
         #: the probing service, whose single-flight probes take the same
         #: locks.
         self.site_locks: dict[str, threading.RLock] = {}
@@ -586,12 +586,17 @@ class MDBSServer:
         right_widths = [right_facts.column_widths[c] for c in components.right.columns]
         left_rows = left_result.result.rows
         right_rows = right_result.result.rows
-        join_agent.create_temp_table(
-            _TEMP_LEFT, components.left.columns, left_widths, left_rows
-        )
-        join_agent.create_temp_table(
-            _TEMP_RIGHT, components.right.columns, right_widths, right_rows
-        )
+        with obs.span(
+            "mdbs.step.materialize",
+            site=join_agent.site,
+            rows=len(left_rows) + len(right_rows),
+        ):
+            join_agent.create_temp_table(
+                _TEMP_LEFT, components.left.columns, left_widths, left_rows
+            )
+            join_agent.create_temp_table(
+                _TEMP_RIGHT, components.right.columns, right_widths, right_rows
+            )
         try:
             join_query = JoinQuery(
                 _TEMP_LEFT,

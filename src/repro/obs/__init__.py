@@ -97,7 +97,6 @@ from .tracing import (
     NOOP_TRACER,
     NoopTracer,
     Span,
-    TraceContext,
     Tracer,
     TraceSampler,
     current_trace_id,
@@ -113,7 +112,6 @@ from .tracing import (
 __all__ = [
     # tracing
     "Span",
-    "TraceContext",
     "Tracer",
     "TraceSampler",
     "NoopTracer",

@@ -171,6 +171,7 @@ _DASH_COUNTERS = (
     ("serving.rejected", "rejected"),
     ("serving.plan_cache.hits", "plan-cache hits"),
     ("mdbs.probing.coalesced", "probes coalesced"),
+    ("mdbs.optimizer.negative_clamped", "negative estimates clamped"),
     ("mdbs.accuracy.samples", "accuracy samples"),
     ("mdbs.maintenance_runs", "maintenance runs"),
     ("maintenance.rebuilds", "model rebuilds"),

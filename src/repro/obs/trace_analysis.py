@@ -9,7 +9,7 @@ exists for:
 * *which requests were slow?* — :func:`slowest_table` ranks traces by
   their root span's duration;
 * *where does latency come from overall?* — :func:`stage_breakdown`
-  attributes every request's time to pipeline stages (queue vs plan vs
+  attributes every request's span time to pipeline stages (plan vs
   probe vs probe-wait vs execute vs other), splitting probe time out of
   the stage it ran under so a single-flight wait is visible as waiting,
   not planning.
@@ -26,8 +26,11 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-#: The stages latency is attributed to, in pipeline order.
-STAGES = ("queue", "plan", "probe", "probe_wait", "execute", "other")
+#: The stages a request's span time is attributed to, in pipeline order.
+#: Queueing is not one of them: the front end's queue waits are
+#: simulated seconds (the root's ``wait_seconds`` attribute), and this
+#: breakdown covers only the spans' own clock.
+STAGES = ("plan", "probe", "probe_wait", "execute", "other")
 
 #: The span name a request's root carries (the frontend's ticket span).
 ROOT_SPAN_NAME = "serving.request"
@@ -113,12 +116,12 @@ def _probe_context(
 
 
 def trace_stage_seconds(spans: Sequence[dict[str, Any]]) -> dict[str, float]:
-    """One trace's latency attributed to :data:`STAGES`.
+    """One trace's span time attributed to :data:`STAGES`.
 
-    ``queue`` is the explicit queue-wait span; ``probe``/``probe_wait``
-    are probe executions vs single-flight waits (``outcome`` attribute),
-    subtracted from whichever of plan/execute they ran under; ``other``
-    is the root's time not covered by any stage span.
+    ``probe``/``probe_wait`` are probe executions vs single-flight waits
+    (``outcome`` attribute), subtracted from whichever of plan/execute
+    they ran under; ``other`` is the root's time not covered by any
+    stage span.
     """
     by_id = {span["span_id"]: span for span in spans}
     root = trace_root(spans)
@@ -127,9 +130,7 @@ def trace_stage_seconds(spans: Sequence[dict[str, Any]]) -> dict[str, float]:
     for span in spans:
         name = span["name"]
         duration = _duration(span)
-        if name == "serving.queue":
-            totals["queue"] += duration
-        elif name == "serving.plan":
+        if name == "serving.plan":
             totals["plan"] += duration
             raw_plan += duration
         elif name == "serving.execute":
@@ -151,8 +152,7 @@ def trace_stage_seconds(spans: Sequence[dict[str, Any]]) -> dict[str, float]:
             elif enclosing == "serving.execute":
                 totals["execute"] -= duration
     if root is not None:
-        covered = totals["queue"] + raw_plan + raw_execute
-        totals["other"] = max(0.0, _duration(root) - covered)
+        totals["other"] = max(0.0, _duration(root) - raw_plan - raw_execute)
     return totals
 
 

@@ -10,18 +10,15 @@ disabled.  Enable recording globally with :func:`enable` (or scoped with
 :func:`recording`), then export the finished spans with
 :mod:`repro.obs.export`.
 
-Request-scoped tracing builds on three additions:
+Request-scoped tracing builds on two additions:
 
 * every span can carry a ``trace_id`` grouping it into one request's
-  tree.  A child opened on the same thread inherits the innermost open
-  span's trace id automatically;
-* :meth:`Tracer.span` accepts an explicit ``parent`` (a :class:`Span`
-  or :class:`TraceContext`), so a span opened on a worker-pool thread
-  can adopt a parent created on the submitting thread instead of being
-  orphaned by the per-thread stack;
+  tree.  A span created with a ``trace_id`` starts a new trace root; a
+  child opened on the same thread inherits the innermost open span's
+  trace id automatically;
 * :class:`TraceSampler` makes the keep/drop decision per trace id with
   a deterministic hash (same seed + trace id ⇒ same verdict in every
-  process), with a ``force`` escape hatch so failed/timed-out queries
+  process), with a ``force`` escape hatch so failed/rejected queries
   and drift exemplars are always kept.
 
 Span start/end times come from ``time.perf_counter`` by default — they
@@ -39,17 +36,9 @@ import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator
 
 _span_ids = itertools.count(1)
-
-
-class TraceContext(NamedTuple):
-    """A portable parent reference: pass it across threads or processes
-    to re-anchor child spans under a span opened elsewhere."""
-
-    trace_id: str | None
-    span_id: int
 
 
 @dataclass
@@ -57,8 +46,8 @@ class Span:
     """One traced unit of work.
 
     Spans are context managers: entering records the start time and the
-    parent (the innermost open span on the same thread, unless an
-    explicit parent was given at creation), exiting records the end
+    parent (the innermost open span on the same thread, unless the span
+    was created as a trace root), exiting records the end
     time and hands the span to the tracer's finished list.
     """
 
@@ -71,13 +60,9 @@ class Span:
     end: float | None = None
     thread: str = ""
     _tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
-    #: True when the span was created as an explicit trace root (or with
-    #: an explicit parent): the per-thread stack must not re-parent it.
+    #: True when the span was created as an explicit trace root: the
+    #: per-thread stack must not re-parent it.
     _anchored: bool = field(default=False, repr=False, compare=False)
-    #: Detached spans never join a thread stack: they can be entered on
-    #: one thread and exited on another (e.g. a request span opened at
-    #: submission and closed by whichever pool worker finishes it).
-    _detached: bool = field(default=False, repr=False, compare=False)
 
     #: Distinguishes a live span from the no-op singleton without an
     #: isinstance check in hot paths.
@@ -89,11 +74,6 @@ class Span:
         if self.end is None:
             return 0.0
         return self.end - self.start
-
-    @property
-    def context(self) -> TraceContext:
-        """A handle other threads can parent to (cheap, immutable)."""
-        return TraceContext(self.trace_id, self.span_id)
 
     def set_attribute(self, name: str, value: Any) -> None:
         self.attributes[name] = value
@@ -120,7 +100,6 @@ class _NoopSpan:
     __slots__ = ()
     recording = False
     trace_id = None
-    context = None
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -148,12 +127,7 @@ class NoopTracer:
     enabled = False
 
     def span(
-        self,
-        name: str,
-        parent: "Span | TraceContext | None" = None,
-        trace_id: str | None = None,
-        detached: bool = False,
-        **attributes: Any,
+        self, name: str, trace_id: str | None = None, **attributes: Any
     ) -> _NoopSpan:
         return NOOP_SPAN
 
@@ -196,8 +170,7 @@ class Tracer:
     """A recording tracer with per-thread span stacks.
 
     Thread-safe: each thread nests spans on its own stack (so parentage
-    never crosses threads unless an explicit ``parent`` is handed
-    over), and the finished list is lock-protected.
+    never crosses threads), and the finished list is lock-protected.
 
     With ``local_ids=True`` the tracer numbers spans from its own
     counter instead of the process-global one, so identically-driven
@@ -227,26 +200,13 @@ class Tracer:
     # -- span lifecycle --------------------------------------------------
 
     def span(
-        self,
-        name: str,
-        parent: Span | TraceContext | None = None,
-        trace_id: str | None = None,
-        detached: bool = False,
-        **attributes: Any,
+        self, name: str, trace_id: str | None = None, **attributes: Any
     ) -> "Span | _NoopSpan":
         """Create a span; enter it (``with``) to start the clock.
 
-        *parent* (a :class:`Span` or :class:`TraceContext`) anchors the
-        span under a specific parent regardless of which thread enters
-        it; the trace id is inherited from the parent unless *trace_id*
-        overrides it.  *trace_id* alone starts a new trace root (the
-        per-thread stack will not re-parent it).  With neither, the
-        innermost open span on the entering thread becomes the parent,
-        exactly as before.
-
-        *detached* spans stay off the thread stacks entirely, so they
-        may be entered on one thread and exited on another — the shape
-        of a request-scoped root span that outlives a queue hop.
+        *trace_id* starts a new trace root (the per-thread stack will
+        not re-parent it).  Without it, the innermost open span on the
+        entering thread becomes the parent.
         """
         if getattr(self._local, "suppressing", False):
             return NOOP_SPAN
@@ -260,15 +220,9 @@ class Tracer:
             )
         else:
             span = Span(name=name, attributes=attributes, _tracer=self)
-        if parent is not None:
-            span.parent_id = parent.span_id
-            span.trace_id = trace_id if trace_id is not None else parent.trace_id
-            span._anchored = True
-        elif trace_id is not None:
+        if trace_id is not None:
             span.trace_id = trace_id
             span._anchored = True
-        if detached:
-            span._detached = True
         return span
 
     def _stack(self) -> list[Span]:
@@ -279,9 +233,6 @@ class Tracer:
 
     def _start(self, span: Span) -> None:
         span.thread = threading.current_thread().name
-        if span._detached:
-            span.start = self._clock()
-            return
         stack = self._stack()
         if stack and not span._anchored:
             top = stack[-1]
@@ -292,13 +243,12 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         span.end = self._clock()
-        if not span._detached:
-            stack = self._stack()
-            # Normally a strict LIFO pop; tolerate out-of-order exits.
-            if stack and stack[-1] is span:
-                stack.pop()
-            elif span in stack:
-                stack.remove(span)
+        stack = self._stack()
+        # Normally a strict LIFO pop; tolerate out-of-order exits.
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:
+            stack.remove(span)
         with self._lock:
             self._finished.append(span)
             if span.trace_id is not None:
@@ -425,14 +375,15 @@ class TraceSampler:
 
     The keep/drop verdict for a trace id is a pure function of
     ``(seed, trace_id)`` — the same in every process at any worker
-    count.  The serving front end consults :meth:`keep` at submission:
+    count.  The serving front end consults :meth:`keep` before running
+    each request:
     sampled requests record their full span tree, unsampled requests
     run with every span suppressed (:meth:`Tracer.suppress`) and record
     nothing, so sampling saves recording cost up front rather than
     discarding spans already paid for.  :meth:`resolve` is called once
     at request completion and either keeps what was recorded (counting
     it sampled) or drops it.  ``force=True`` keeps the trace regardless
-    of the hash — the always-keep path for failed/timed-out/rejected
+    of the hash — the always-keep path for failed/rejected
     queries and worst-band accuracy exemplars; a forced-but-unsampled
     request materializes a 1-span root stub at finish, so a postmortem
     at least sees the request and its final status.
@@ -531,16 +482,10 @@ def enabled() -> bool:
 
 
 def span(
-    name: str,
-    parent: Span | TraceContext | None = None,
-    trace_id: str | None = None,
-    detached: bool = False,
-    **attributes: Any,
+    name: str, trace_id: str | None = None, **attributes: Any
 ) -> Span | _NoopSpan:
     """A span from the global tracer (the one instrumentation calls)."""
-    return _active_tracer.span(
-        name, parent=parent, trace_id=trace_id, detached=detached, **attributes
-    )
+    return _active_tracer.span(name, trace_id=trace_id, **attributes)
 
 
 def current_trace_id() -> str | None:

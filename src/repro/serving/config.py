@@ -1,23 +1,21 @@
-"""Serving-front-end configuration: pool size, admission, caching.
+"""Serving-front-end configuration: service slots, admission, caching.
 
 One frozen dataclass carries every serving knob so experiment code can
 sweep configurations declaratively (the throughput bench builds its
 concurrency ladder from ``replace(config, workers=n)``).
 
-Admission control is two bounds and a policy:
+Admission is evaluated against a *simulated* queue: each ``serve``
+batch arrives at once in front of ``workers`` service slots, and
 
-* ``queue_depth`` — how many admitted requests may *wait* for a worker;
-* ``max_in_flight`` — total admitted-but-unfinished requests (waiting
-  plus executing); ``None`` leaves only the queue bound;
-* ``admission_policy`` — what happens at a full bound: ``"block"``
-  applies backpressure to the submitter (no request is ever dropped),
+* ``queue_depth`` — how many admitted requests may *wait* for a slot;
+* ``admission_policy`` — what happens beyond ``workers + queue_depth``:
+  ``"block"`` applies backpressure to the submitter (no request is ever
+  dropped; the later requests simply wait longer in simulated time),
   ``"reject"`` fails the request immediately with a ``rejected`` ticket
   (load-shedding; the caller sees the drop and can retry).
 
-``deadline_seconds`` bounds how long a request may *wait in the queue*
-(real wall-clock time): a worker that dequeues an expired request marks
-it ``timed_out`` without executing it, so a backed-up pool sheds stale
-work instead of serving answers nobody is waiting for anymore.
+Requests always execute one at a time on the caller's thread, so
+``workers`` changes only simulated waits, never plans or results.
 """
 
 from __future__ import annotations
@@ -32,24 +30,19 @@ ADMISSION_POLICIES = ("block", "reject")
 class ServingConfig:
     """Knobs of one :class:`~repro.serving.frontend.ServingFrontEnd`."""
 
-    #: Worker threads executing admitted requests.
+    #: Simulated service slots; a request holds one for its simulated
+    #: execution time.
     workers: int = 4
-    #: Admitted requests allowed to wait for a worker.
+    #: Admitted requests allowed to wait for a slot.
     queue_depth: int = 128
-    #: Total admitted-but-unfinished requests; None = queue bound only.
-    max_in_flight: int | None = None
     #: "block" (backpressure) or "reject" (shed load at the bound).
     admission_policy: str = "block"
-    #: Max real seconds a request may wait queued before it is dropped
-    #: as ``timed_out``; None disables deadlines (and keeps the serving
-    #: path free of wall-clock reads, which determinism tests rely on).
-    deadline_seconds: float | None = None
     #: Serve repeated optimizations from the plan cache.
     plan_cache: bool = True
     #: Cached plans kept before LRU eviction.
     plan_cache_capacity: int = 1024
     #: Fraction of traces kept by deterministic head sampling (hash of
-    #: the trace id); failed/timed-out/rejected requests and worst-band
+    #: the trace id); failed/rejected requests and worst-band
     #: accuracy exemplars are always kept regardless.  Only consulted
     #: when a real tracer is installed (``obs.enable``/``set_tracer``).
     trace_sample_rate: float = 1.0
@@ -64,15 +57,11 @@ class ServingConfig:
             raise ValueError("workers must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1 (or None)")
         if self.admission_policy not in ADMISSION_POLICIES:
             raise ValueError(
                 f"admission_policy must be one of {ADMISSION_POLICIES}, "
                 f"not {self.admission_policy!r}"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive (or None)")
         if self.plan_cache_capacity < 1:
             raise ValueError("plan_cache_capacity must be >= 1")
         if not 0.0 <= self.trace_sample_rate <= 1.0:

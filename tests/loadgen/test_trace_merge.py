@@ -79,7 +79,6 @@ class TestMergedTrace:
                 for s in trace_spans
             )
             totals = trace_stage_seconds(trace_spans)
-            assert totals["queue"] >= 0.0
             assert sum(totals.values()) == pytest.approx(root["duration"])
 
     def test_write_merged_trace_round_trips(self, traced_report, tmp_path):

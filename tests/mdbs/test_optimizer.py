@@ -1,5 +1,8 @@
 """Unit tests for the global query optimizer."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro import obs
@@ -142,6 +145,29 @@ class TestClassFallback:
         # Only a unary model exists; a join-family class has no stand-in.
         with pytest.raises(GlobalCatalogError):
             optimizer._model_for("oracle_site", class_by_label("G3"))
+
+
+class TestNegativeClamp:
+    def test_negative_prediction_is_clamped_and_counted(self, mini_mdbs):
+        server, _ = mini_mdbs
+        model = server.catalog.cost_model("oracle_site", "G1")
+        below, above = (
+            dataclasses.replace(model, coefficients=np.full_like(model.coefficients, c))
+            for c in (-1.0, 1.0)
+        )
+        values = {name: 1.0 for name in model.variable_names}
+        middle = model.num_states // 2
+        registry = obs.MetricsRegistry()
+        previous = obs.set_registry(registry)
+        try:
+            _, clamped = GlobalQueryOptimizer._resolve(below, values, None)
+            _, kept = GlobalQueryOptimizer._resolve(above, values, None)
+        finally:
+            obs.set_registry(previous)
+        assert below.predict_in_state(values, middle) < 0.0
+        assert clamped == 0.0
+        assert kept == above.predict_in_state(values, middle) > 0.0
+        assert registry.counter_value("mdbs.optimizer.negative_clamped") == 1.0
 
 
 class TestEstimatedProbingPath:

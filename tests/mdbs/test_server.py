@@ -134,15 +134,28 @@ class TestObservability:
         assert by_id[optimize.parent_id] is root
 
         # One span per plan step, all children of the root, mirroring
-        # the StepTiming list exactly (same simulated seconds).
-        steps = [s for s in spans if s.name.startswith("mdbs.step.")]
+        # the StepTiming list exactly (same simulated seconds); temp-table
+        # materialization is a span of its own with no simulated cost.
+        steps = sorted(
+            (s for s in spans if s.name.startswith("mdbs.step.")),
+            key=lambda s: s.start,
+        )
+        assert all(by_id[s.parent_id] is root for s in steps)
+        # Temp tables are built at the join site between ship and join.
+        assert [s.name for s in steps[2:]] == [
+            "mdbs.step.ship",
+            "mdbs.step.materialize",
+            "mdbs.step.join",
+        ]
+        materialize = steps.pop(3)
+        assert materialize.attributes["site"] == steps[3].attributes["site"]
+        assert materialize.attributes["rows"] > 0
         assert sorted(s.name for s in steps) == [
             "mdbs.step.join",
             "mdbs.step.select",
             "mdbs.step.select",
             "mdbs.step.ship",
         ]
-        assert all(by_id[s.parent_id] is root for s in steps)
         span_seconds = sorted(s.attributes["simulated_seconds"] for s in steps)
         timing_seconds = sorted(t.seconds for t in execution.steps)
         assert span_seconds == pytest.approx(timing_seconds)

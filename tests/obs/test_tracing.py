@@ -131,36 +131,6 @@ class TestSpanRecording:
 
 
 class TestRequestScopedSpans:
-    def test_detached_root_survives_a_thread_hop(self, tracer):
-        """The serving shape: a root entered on the submitting thread is
-        exited by a worker, whose own spans anchor via TraceContext."""
-        root = tracer.span("serving.request", trace_id="t-1", detached=True)
-        root.__enter__()
-        done = threading.Event()
-
-        def worker():
-            with tracer.span("serving.plan", parent=root.context):
-                with obs.span("nested"):  # stack inheritance inside worker
-                    pass
-            root.__exit__(None, None, None)
-            done.set()
-
-        threading.Thread(target=worker).start()
-        assert done.wait(5.0)
-        spans = {s.name: s for s in tracer.finished()}
-        assert set(spans) == {"serving.request", "serving.plan", "nested"}
-        assert all(s.trace_id == "t-1" for s in spans.values())
-        assert spans["serving.plan"].parent_id == spans["serving.request"].span_id
-        assert spans["nested"].parent_id == spans["serving.plan"].span_id
-
-    def test_detached_span_stays_off_the_thread_stack(self, tracer):
-        with tracer.span("root", trace_id="t-2", detached=True):
-            with obs.span("unrelated") as other:
-                pass
-        # The detached span never became the stack parent.
-        assert other.parent_id is None
-        assert other.trace_id is None
-
     def test_trace_id_inherited_from_innermost_open_span(self, tracer):
         with tracer.span("root", trace_id="t-3"):
             with obs.span("child") as child:
@@ -249,7 +219,7 @@ class TestTraceBookkeeping:
         def ids():
             t = Tracer(local_ids=True)
             with t.span("a", trace_id="x"):
-                with t.span("b", parent=t.current()):
+                with t.span("b"):
                     pass
             return [s.span_id for s in t.finished()]
 

@@ -1,12 +1,9 @@
-"""Admission control: bounds, policies, deadlines, config validation.
+"""Admission control on the simulated queue: bounds, policies, validation.
 
-The rejection tests make the pool controllably busy by holding a site's
-execution lock from the test thread: the single worker blocks inside
-``server.execute`` on that lock, so queue and in-flight bounds fill
-deterministically with no sleeps.
+Each ``serve`` batch arrives at once in front of ``workers`` slots and a
+``queue_depth``-long queue, so every admission outcome is an exact
+function of the batch — no threads to hold, no sleeps.
 """
-
-import threading
 
 import pytest
 
@@ -26,35 +23,16 @@ class TestConfigValidation:
         [
             {"workers": 0},
             {"queue_depth": 0},
-            {"max_in_flight": 0},
+            {"queue_depth": -1},
             {"admission_policy": "drop"},
-            {"deadline_seconds": 0.0},
-            {"deadline_seconds": -1.0},
+            {"trace_sample_rate": 1.5},
+            {"trace_sample_rate": -0.1},
             {"plan_cache_capacity": 0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServingConfig(**kwargs)
-
-
-class _HeldSites:
-    """Context manager pinning every site lock the workload touches."""
-
-    def __init__(self, server, queries):
-        self.locks = sorted(
-            {server.site_locks[s] for q in queries for s in (q.left_site, q.right_site)},
-            key=id,
-        )
-
-    def __enter__(self):
-        for lock in self.locks:
-            lock.acquire()
-        return self
-
-    def __exit__(self, *exc_info):
-        for lock in reversed(self.locks):
-            lock.release()
 
 
 class TestRejectPolicy:
@@ -65,49 +43,51 @@ class TestRejectPolicy:
             workers=1, queue_depth=1, admission_policy="reject", plan_cache=False
         )
         with ServingFrontEnd(server, config) as frontend:
-            with _HeldSites(server, [query]) as _:
-                running = frontend.submit(query)  # picked up, blocks on the site
-                # Give the worker a moment to dequeue the first ticket.
-                while frontend._queue.qsize() > 0:
-                    threading.Event().wait(0.001)
-                queued = frontend.submit(query)  # fills the depth-1 queue
-                rejected = frontend.submit(query)  # nowhere to go
-                assert rejected.status == "rejected"
-                assert rejected.done and not rejected.ok
-                assert rejected.execution is None
-            assert running.wait(30.0) and running.ok
-            assert queued.wait(30.0) and queued.ok
+            # One request takes the slot, one fills the depth-1 queue,
+            # the third has nowhere to go.
+            running, queued, rejected = frontend.serve([query] * 3)
             stats = frontend.stats()
+        assert running.ok and queued.ok
+        assert rejected.status == "rejected"
+        assert not rejected.ok
+        assert rejected.execution is None
+        assert rejected.wait_seconds is None
+        assert rejected.latency_seconds == 0.0
         assert stats.submitted == 3
         assert stats.admitted == 2
         assert stats.rejected == 1
         assert stats.dropped == 1
 
-    def test_max_in_flight_bounds_total_admissions(self, serving_mdbs):
+    @pytest.mark.parametrize(
+        "n, workers, depth", [(6, 1, 1), (12, 2, 3), (6, 4, 1), (6, 2, 8)]
+    )
+    def test_rejects_exactly_beyond_slots_plus_queue(
+        self, serving_mdbs, n, workers, depth
+    ):
         server, _ = serving_mdbs
-        query = query_mix()[0]
+        queries = (query_mix() * 2)[:n]
         config = ServingConfig(
-            workers=2, queue_depth=64, max_in_flight=1,
-            admission_policy="reject", plan_cache=False,
+            workers=workers, queue_depth=depth, admission_policy="reject"
         )
+        expected = max(0, n - workers - depth)
         with ServingFrontEnd(server, config) as frontend:
-            with _HeldSites(server, [query]):
-                first = frontend.submit(query)
-                second = frontend.submit(query)  # in-flight slot is taken
-                assert second.status == "rejected"
-            assert first.wait(30.0) and first.ok
-            # The slot freed on completion: admissions work again.
-            third = frontend.serve([query])[0]
-            assert third.ok
+            batches = [frontend.serve(queries) for _ in range(2)]
+            stats = frontend.stats()
+        for tickets in batches:
+            # The clock advances past each batch, so every batch meets
+            # empty slots: the same count is shed each time, and it is
+            # always the tail of the batch in submission order.
+            statuses = [t.status for t in tickets]
+            assert statuses == ["completed"] * (n - expected) + ["rejected"] * expected
+        assert stats.rejected == stats.dropped == 2 * expected
+        assert stats.admitted == 2 * (n - expected)
 
 
 class TestBlockPolicy:
     def test_backpressure_never_drops(self, serving_mdbs):
         server, _ = serving_mdbs
         queries = query_mix() * 4
-        config = ServingConfig(
-            workers=2, queue_depth=2, max_in_flight=4, admission_policy="block"
-        )
+        config = ServingConfig(workers=2, queue_depth=2, admission_policy="block")
         with ServingFrontEnd(server, config) as frontend:
             tickets = frontend.serve(queries)
             stats = frontend.stats()
@@ -115,28 +95,23 @@ class TestBlockPolicy:
         assert stats.dropped == 0
         assert stats.admitted == stats.submitted == len(queries)
 
-
-class TestDeadlines:
-    def test_expired_queue_wait_sheds_the_request(self, serving_mdbs):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_simulated_waits_never_decrease(self, serving_mdbs, workers):
         server, _ = serving_mdbs
-        query = query_mix()[0]
-        config = ServingConfig(
-            workers=1, queue_depth=8, deadline_seconds=0.05, plan_cache=False
-        )
+        queries = query_mix() * 2
+        config = ServingConfig(workers=workers, queue_depth=1, admission_policy="block")
         with ServingFrontEnd(server, config) as frontend:
-            with _HeldSites(server, [query]):
-                running = frontend.submit(query)
-                # Ensure the worker dequeued it (and passed its deadline
-                # check) before the stale request goes in behind it.
-                while frontend._queue.qsize() > 0:
-                    threading.Event().wait(0.001)
-                stale = frontend.submit(query)
-                # Hold the pool past the deadline before releasing it.
-                threading.Event().wait(0.1)
-            assert running.wait(30.0)
-            assert stale.wait(30.0)
-            stats = frontend.stats()
-        assert stale.status == "timed_out"
-        assert stale.execution is None
-        assert stats.timed_out == 1
-        assert stats.dropped == 1
+            first = frontend.serve(queries)
+            second = frontend.serve(queries)
+        for tickets in (first, second):
+            assert all(t.ok for t in tickets)
+            waits = [t.wait_seconds for t in tickets]
+            assert waits == sorted(waits)
+            # The first `workers` requests find a free slot.
+            assert waits[:workers] == [0.0] * workers
+            assert waits[workers] > 0.0
+            for ticket in tickets:
+                held = ticket.finished_at - ticket.started_at
+                assert held == pytest.approx(ticket.execution.observed_seconds)
+        # The second batch arrives when the first has fully drained.
+        assert {t.submitted_at for t in second} == {max(t.finished_at for t in first)}

@@ -1,10 +1,9 @@
-"""Front-end behavior: determinism guard, concurrency, plan sourcing.
+"""Front-end behavior: determinism guard, plan sourcing, tracing.
 
-The determinism guard is an ISSUE acceptance criterion: a pool at
-concurrency 1 with the plan cache off must produce byte-identical plan
-choices (and results) to the synchronous ``MDBSServer.execute`` path.
-The tracing tests pin the other acceptance criterion: one *connected*
-span tree per request, across the submit→worker thread hop.
+The determinism guard: with the plan cache off, every slot count must
+produce byte-identical plan choices (and results) to the synchronous
+``MDBSServer.execute`` path in submission order.  The tracing tests pin
+one *connected* span tree per request.
 """
 
 import pytest
@@ -16,36 +15,45 @@ from repro.serving import ServingConfig, ServingFrontEnd
 from .conftest import query_mix
 
 
-def run_sync(server, sites, queries):
-    """The reference: synchronous executes from a snapshotted state."""
+def rewound(server, sites, run):
+    """``run()`` from a snapshotted state, which is restored afterwards."""
     snapshot = {n: s.database.save_state() for n, s in sites.items()}
     server.probing.invalidate()
-    outcomes = [server.execute(q) for q in queries]
+    outcomes = run()
     for name, site in sites.items():
         site.database.restore_state(snapshot[name])
     server.probing.invalidate()
     return outcomes
 
 
+def assert_serves_like_synchronous_server(server, sites, workers):
+    """plan_cache=False == plain server.execute in submission order,
+    byte for byte: plan text, estimates, result rows, observed timings."""
+    queries = query_mix()
+    reference = rewound(server, sites, lambda: [server.execute(q) for q in queries])
+    config = ServingConfig(workers=workers, plan_cache=False)
+    with ServingFrontEnd(server, config) as frontend:
+        tickets = rewound(server, sites, lambda: frontend.serve(queries))
+
+    assert [t.status for t in tickets] == ["completed"] * len(queries)
+    for ticket, ref in zip(tickets, reference):
+        assert ticket.execution.plan.describe() == ref.plan.describe()
+        assert ticket.execution.plan.join_site == ref.plan.join_site
+        assert ticket.execution.rows == ref.rows
+        assert ticket.execution.steps == ref.steps
+        assert ticket.plan_source == "optimizer"
+
+
 class TestDeterminismGuard:
     def test_pool_of_one_matches_synchronous_server(self, serving_mdbs):
-        """workers=1 + plan_cache=False == plain server.execute, byte for
-        byte: plan text, estimates, result rows, observed timings."""
         server, sites = serving_mdbs
-        queries = query_mix()
-        reference = run_sync(server, sites, queries)
+        assert_serves_like_synchronous_server(server, sites, workers=1)
 
-        config = ServingConfig(workers=1, plan_cache=False)
-        with ServingFrontEnd(server, config) as frontend:
-            tickets = frontend.serve(queries)
-
-        assert [t.status for t in tickets] == ["completed"] * len(queries)
-        for ticket, ref in zip(tickets, reference):
-            assert ticket.execution.plan.describe() == ref.plan.describe()
-            assert ticket.execution.plan.join_site == ref.plan.join_site
-            assert ticket.execution.rows == ref.rows
-            assert ticket.execution.steps == ref.steps
-            assert ticket.plan_source == "optimizer"
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    def test_slot_count_never_changes_plans_or_rows(self, serving_mdbs, workers):
+        """Execution order is submission order at any slot count."""
+        server, sites = serving_mdbs
+        assert_serves_like_synchronous_server(server, sites, workers)
 
     def test_cache_off_config_has_no_cache(self, serving_mdbs):
         server, _ = serving_mdbs
@@ -56,19 +64,12 @@ class TestDeterminismGuard:
 class TestConcurrentServing:
     def test_pool_completes_a_repeated_class_workload(self, serving_mdbs):
         server, _ = serving_mdbs
-        distinct = query_mix()
-        repeats = distinct * 12  # 72 requests over 6 distinct queries
+        queries = query_mix() * 13  # 78 requests over 6 distinct queries
         config = ServingConfig(workers=8)
         with ServingFrontEnd(server, config) as frontend:
-            # One warming pass, then the flood: without it the 8 workers
-            # cold-start-optimize the same queries concurrently before
-            # any put lands (each such race is an honest miss).
-            warm = frontend.serve(distinct)
-            tickets = frontend.serve(repeats)
+            tickets = frontend.serve(queries)
             stats = frontend.stats()
 
-        queries = distinct + repeats
-        tickets = warm + tickets
         assert all(t.ok for t in tickets), [t.error for t in tickets if not t.ok]
         assert stats.completed == len(queries)
         assert stats.dropped == 0
@@ -93,20 +94,34 @@ class TestConcurrentServing:
         assert [t.plan_source for t in first] == ["optimizer"] * len(queries)
         assert [t.plan_source for t in second] == ["cache"] * len(queries)
 
-    def test_tickets_expose_real_latency(self, serving_mdbs):
+    def test_tickets_expose_simulated_latency(self, serving_mdbs):
         server, _ = serving_mdbs
         with ServingFrontEnd(server, ServingConfig(workers=2)) as frontend:
             [ticket] = frontend.serve(query_mix()[:1])
-        assert ticket.done and ticket.ok
-        assert ticket.wait_seconds is not None and ticket.wait_seconds >= 0.0
-        assert ticket.latency_seconds is not None
-        assert ticket.latency_seconds >= ticket.wait_seconds
+        assert ticket.ok
+        assert ticket.wait_seconds == 0.0  # a free slot was waiting
+        assert ticket.latency_seconds == ticket.execution.observed_seconds
+
+    def test_stats_survive_an_emptied_plan_cache(self, serving_mdbs):
+        """An empty PlanCache is falsy (it has __len__); its lifetime
+        counters must still be reported."""
+        server, _ = serving_mdbs
+        with ServingFrontEnd(server, ServingConfig(workers=1)) as frontend:
+            frontend.serve(query_mix())
+            frontend.serve(query_mix())
+            for site, label in server.catalog.registry.keys():
+                frontend.plan_cache.invalidate_model(site, label)
+            assert len(frontend.plan_cache) == 0
+            stats = frontend.stats()
+        assert stats.plan_cache_hits == len(query_mix())
+        assert stats.plan_cache_misses == len(query_mix())
+        assert stats.plan_cache_invalidated == len(query_mix())
 
 
 class TestTracing:
     def test_each_request_yields_one_connected_tree(self, serving_mdbs):
-        """Acceptance: through a multi-worker pool, every ticket's spans
-        form a single tree rooted at its detached ``serving.request``."""
+        """Every ticket's spans form a single tree rooted at its
+        ``serving.request``, which carries the simulated wait."""
         server, _ = serving_mdbs
         config = ServingConfig(workers=4, trace_id_prefix="t-")
         with obs.recording() as tracer:
@@ -120,8 +135,7 @@ class TestTracing:
             roots = [s for s in spans if s.parent_id is None]
             assert [r.name for r in roots] == ["serving.request"]
             for span in spans:
-                # Every span's parent chain ends at the root: no orphans,
-                # even for spans recorded on a different worker thread.
+                # Every span's parent chain ends at the root: no orphans.
                 seen = set()
                 while span.parent_id is not None:
                     assert span.span_id not in seen
@@ -129,9 +143,10 @@ class TestTracing:
                     span = by_id[span.parent_id]
                 assert span.name == "serving.request"
             names = {s.name for s in spans}
-            assert {"serving.queue", "serving.plan", "serving.execute"} <= names
+            assert {"serving.plan", "serving.execute", "mdbs.step.materialize"} <= names
             root = roots[0]
             assert root.attributes["status"] == "completed"
+            assert root.attributes["wait_seconds"] == ticket.wait_seconds
 
     def test_plan_spans_carry_decision_provenance(self, serving_mdbs):
         server, _ = serving_mdbs
@@ -195,7 +210,7 @@ class TestTracing:
 
     def test_kept_set_is_identical_at_any_worker_count(self, serving_mdbs):
         """Deterministic sampling: same seed + same trace ids => the same
-        kept subset, no matter how the pool schedules the requests."""
+        kept subset, whatever the slot count."""
         server, _ = serving_mdbs
         queries = query_mix() * 4
         kept_sets = []
@@ -208,8 +223,8 @@ class TestTracing:
                     tickets = frontend.serve(queries)
             assert all(t.ok for t in tickets)
             # The hash-kept set is the deterministic contract; accuracy
-            # force-keeps may legitimately differ with pool interleaving
-            # (the shared tracker sees samples in a different order).
+            # force-keeps may differ (the shared tracker has already
+            # seen the first run's samples when the second run starts).
             kept = {t.trace_id for t in tickets if t.trace_sampled}
             retained = {s.trace_id for s in tracer.finished() if s.trace_id}
             assert kept <= retained  # every kept trace still has spans
@@ -251,7 +266,6 @@ class TestTracing:
         spans = tracer.trace(victim.trace_id)
         assert {s.name for s in spans} >= {
             "serving.request",
-            "serving.queue",
             "serving.plan",
             "serving.execute",
         }
@@ -262,14 +276,14 @@ class TestLifecycle:
         server, _ = serving_mdbs
         frontend = ServingFrontEnd(server, ServingConfig(workers=1))
         with pytest.raises(RuntimeError):
-            frontend.submit(query_mix()[0])
+            frontend.serve(query_mix()[:1])
 
     def test_submit_after_close_raises(self, serving_mdbs):
         server, _ = serving_mdbs
         frontend = ServingFrontEnd(server, ServingConfig(workers=1)).start()
         frontend.close()
         with pytest.raises(RuntimeError):
-            frontend.submit(query_mix()[0])
+            frontend.serve(query_mix()[:1])
 
     def test_close_is_idempotent_and_start_after_close_raises(self, serving_mdbs):
         server, _ = serving_mdbs
