@@ -40,7 +40,7 @@ def test_bench_engine_hotpaths(benchmark, config):
     result = run_once(benchmark, run_engine_hotpaths, config)
 
     # Every case timed both paths over identical inputs (the runner
-    # asserts output equality before recording any timing).
+    # asserts output equality before timing either path).
     for case in result.cases:
         assert case.scalar_seconds > 0.0 and case.vectorized_seconds > 0.0
         assert case.output_cardinality >= 0

@@ -19,7 +19,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import vectorize
 from .buffer import (
     BufferPool,
     charge_random_pages,
@@ -48,15 +47,12 @@ def _project(table: Table, query: SelectQuery, rows) -> ResultTable:
     out_cols = query.output_columns(table.schema)
     positions = [table.schema.position(c) for c in out_cols]
     tuple_length = table.schema.projected_tuple_length(out_cols)
-    if vectorize.enabled() and rows:
-        # Columnar gather: one C-level itemgetter call per row instead
-        # of an interpreted tuple(genexpr) — same tuples, same order.
-        if len(positions) == 1:
-            projected = [(v,) for v in map(itemgetter(positions[0]), rows)]
-        else:
-            projected = list(map(itemgetter(*positions), rows))
+    # One C-level itemgetter call per row; a single column still yields
+    # 1-tuples.
+    if len(positions) == 1:
+        projected = [(v,) for v in map(itemgetter(positions[0]), rows)]
     else:
-        projected = [tuple(r[p] for p in positions) for r in rows]
+        projected = list(map(itemgetter(*positions), rows))
     return ResultTable(out_cols, tuple_length, projected)
 
 
@@ -84,17 +80,17 @@ def _finalize(
 def _filter_table(
     table: Table, predicate: Predicate, metrics: ExecutionMetrics
 ) -> list:
-    """Predicate over every row, vectorized when possible.
+    """Predicate over every row: a batch mask when the predicate has one,
+    :func:`filter_rows` otherwise.
 
     Charges one predicate evaluation per row either way — the batched
     path does the same logical work, just without the interpreter loop.
     """
     metrics.tuples_evaluated += table.cardinality
-    if vectorize.enabled():
-        mask = predicate.evaluate_batch(table)
-        if mask is not None:
-            return list(compress(table.rows(), mask.tolist()))
-    return [row for row in table if predicate.evaluate(row, table.schema)]
+    mask = predicate.evaluate_batch(table)
+    if mask is None:
+        return filter_rows(table, predicate)
+    return list(compress(table.rows(), mask.tolist()))
 
 
 def seq_scan(
@@ -122,14 +118,14 @@ def seq_scan(
 def _filter_row_ids(
     table: Table, row_ids: list[int], residual: Predicate, metrics: ExecutionMetrics
 ) -> list:
-    """Residual predicate over the indexed row ids, vectorized when possible.
+    """Residual predicate over the indexed row ids, batched when possible.
 
     The batched path evaluates the residual over the *whole* table once
     (columnar views are already materialized) and intersects with the
     fetched ids — per-row work identical, charged per fetched id.
     """
     metrics.tuples_evaluated += len(row_ids)
-    if vectorize.enabled() and row_ids:
+    if row_ids:
         mask = residual.evaluate_batch(table)
         if mask is not None:
             ids = np.asarray(row_ids, dtype=np.intp)
@@ -261,5 +257,6 @@ def nonclustered_index_scan(
 
 
 def filter_rows(table: Table, predicate: Predicate) -> list:
-    """Naive full filter — reference implementation used in tests and joins."""
+    """Row-at-a-time full filter: the fallback for predicates without a
+    batch mask, and the reference the batched scans are tested against."""
     return [row for row in table if predicate.evaluate(row, table.schema)]

@@ -19,8 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import vectorize
-
 
 @dataclass(frozen=True)
 class EquiDepthHistogram:
@@ -66,21 +64,47 @@ class EquiDepthHistogram:
 
     @classmethod
     def build(cls, values: Sequence, num_buckets: int = 16) -> "EquiDepthHistogram":
-        """Build from a column's values (numeric).
+        """Build from a column's values (numeric), with numpy.
 
-        Dispatches to the numpy path unless the engine is in scalar
-        mode; both produce identical histograms (same boundaries,
-        counts, and distinct tuples — pure Python floats/ints).
+        The sort and the per-bucket distinct counts run in numpy; the
+        duplicate-run extension is a ``searchsorted`` for the end of the
+        run instead of a value-at-a-time walk.  The result is identical
+        (same boundaries, counts, and distinct tuples — pure Python
+        floats/ints) to :meth:`_build_scalar`, the row-at-a-time
+        reference that tests and the engine bench compare against.
         """
         if num_buckets < 1:
             raise ValueError("num_buckets must be at least 1")
-        if vectorize.enabled():
-            return cls._build_vectorized(values, num_buckets)
-        return cls._build_scalar(values, num_buckets)
+        data = np.sort(np.fromiter((float(v) for v in values), dtype=np.float64))
+        if data.size == 0:
+            raise ValueError("cannot build a histogram from no values")
+        n = int(data.size)
+        num_buckets = min(num_buckets, n)
+        boundaries = [float(data[0])]
+        counts: list[int] = []
+        distinct: list[int] = []
+        start = 0
+        for b in range(num_buckets):
+            end = round((b + 1) * n / num_buckets)
+            end = max(end, start + 1)
+            if end < n and data[end] == data[end - 1]:
+                # Never split a run of duplicates across buckets: jump
+                # past the whole run in one shot.
+                end = int(np.searchsorted(data, data[end - 1], side="right"))
+            bucket = data[start:end]
+            counts.append(int(bucket.size))
+            distinct.append(1 + int(np.count_nonzero(bucket[1:] != bucket[:-1])))
+            boundaries.append(float(bucket[-1] if end >= n else data[end]))
+            start = end
+            if start >= n:
+                break
+        boundaries[-1] = float(data[-1])
+        return cls(tuple(boundaries), tuple(counts), tuple(distinct))
 
     @classmethod
     def _build_scalar(cls, values: Sequence, num_buckets: int) -> "EquiDepthHistogram":
-        """Row-at-a-time reference implementation."""
+        """Row-at-a-time reference for :meth:`build` (tests and the
+        engine bench only)."""
         data = sorted(float(v) for v in values)
         if not data:
             raise ValueError("cannot build a histogram from no values")
@@ -105,42 +129,6 @@ class EquiDepthHistogram:
             if start >= n:
                 break
         boundaries[-1] = data[-1]
-        return cls(tuple(boundaries), tuple(counts), tuple(distinct))
-
-    @classmethod
-    def _build_vectorized(
-        cls, values: Sequence, num_buckets: int
-    ) -> "EquiDepthHistogram":
-        """numpy-batched build, byte-identical to :meth:`_build_scalar`.
-
-        The sort and the per-bucket distinct counts dominate the scalar
-        cost; both move to numpy.  The duplicate-run extension becomes a
-        ``searchsorted`` for the end of the run instead of a value-at-a-
-        time walk.
-        """
-        data = np.sort(np.fromiter((float(v) for v in values), dtype=np.float64))
-        if data.size == 0:
-            raise ValueError("cannot build a histogram from no values")
-        n = int(data.size)
-        num_buckets = min(num_buckets, n)
-        boundaries = [float(data[0])]
-        counts: list[int] = []
-        distinct: list[int] = []
-        start = 0
-        for b in range(num_buckets):
-            end = round((b + 1) * n / num_buckets)
-            end = max(end, start + 1)
-            if end < n and data[end] == data[end - 1]:
-                # Jump past the whole duplicate run in one shot.
-                end = int(np.searchsorted(data, data[end - 1], side="right"))
-            bucket = data[start:end]
-            counts.append(int(bucket.size))
-            distinct.append(1 + int(np.count_nonzero(bucket[1:] != bucket[:-1])))
-            boundaries.append(float(bucket[-1] if end >= n else data[end]))
-            start = end
-            if start >= n:
-                break
-        boundaries[-1] = float(data[-1])
         return cls(tuple(boundaries), tuple(counts), tuple(distinct))
 
     # -- estimation -------------------------------------------------------------

@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import vectorize
+from .access import filter_rows
 from .buffer import (
     BufferPool,
     charge_random_pages,
@@ -69,21 +69,18 @@ def _reduce_operand(
         # the table's own row list so downstream projection can detect
         # the identity and gather straight from cached column arrays.
         reduced = table.rows()
-        metrics.intermediate_tuples += len(reduced)
-        return reduced
-    if vectorize.enabled():
+    else:
         mask = predicate.evaluate_batch(table)
-        if mask is not None:
+        if mask is None:
+            reduced = filter_rows(table, predicate)
+        else:
             reduced = list(compress(table.rows(), mask.tolist()))
-            metrics.intermediate_tuples += len(reduced)
-            return reduced
-    reduced = [row for row in table if predicate.evaluate(row, table.schema)]
     metrics.intermediate_tuples += len(reduced)
     return reduced
 
 
 def _match_pairs_scalar(left_rows, right_rows, lpos: int, rpos: int):
-    """Reference pair matching: hash buckets over the right rows."""
+    """Row-at-a-time pair matching: hash buckets over the right rows."""
     buckets: dict = defaultdict(list)
     for row in right_rows:
         buckets[row[rpos]].append(row)
@@ -149,26 +146,52 @@ class _MatchedPairs:
         return NotImplemented
 
 
-def _match_pairs_vectorized(left_rows, right_rows, lpos: int, rpos: int):
-    """numpy pair matching, or None when the key dtypes don't allow it.
+#: Python type every key must have for a float or string key array to
+#: compare exactly as Python does: ``np.array`` silently widens ints
+#: mixed into floats (exact only below 2**53) and stringifies numbers
+#: mixed into strings.  Int arrays hold only ints (and bools), so they
+#: need no scan.
+_EXACT_KEY_TYPE = {"f": float, "U": str}
 
-    A stable argsort of the right keys plus two ``searchsorted`` calls
-    yields, for every left row, the right matches in right-scan order —
-    the exact pair order the scalar hash path produces (left-row major,
-    right-scan order within a key).
-    """
+
+def _key_array(rows, pos: int):
+    """Join keys as a numpy array, or None when numpy equality on it
+    could differ from Python's ``==`` (and hashing) on the keys."""
+    keys = [r[pos] for r in rows]
     try:
-        lkeys = np.array([r[lpos] for r in left_rows])
-        rkeys = np.array([r[rpos] for r in right_rows])
+        array = np.array(keys)
     except (OverflowError, ValueError):
         # e.g. integers beyond int64 — scalar hashing handles those.
         return None
-    numeric = ("i", "u", "f")
-    if lkeys.dtype.kind in numeric and rkeys.dtype.kind in numeric:
-        pass
-    elif lkeys.dtype.kind == "U" and rkeys.dtype.kind == "U":
-        pass
-    else:
+    kind = array.dtype.kind
+    if kind in "iu":
+        return array
+    exact = _EXACT_KEY_TYPE.get(kind)
+    if exact is None or set(map(type, keys)) != {exact}:
+        return None
+    if kind == "f" and np.isnan(array).any():
+        # Python matches a NaN key only to the very same object; numpy's
+        # sorted search would match every NaN to every NaN.
+        return None
+    return array
+
+
+def _match_pairs_vectorized(left_rows, right_rows, lpos: int, rpos: int):
+    """numpy pair matching, or None when the keys don't allow it.
+
+    Both sides must give a key array of the same kind — int keys against
+    float keys would compare in float64, which merges ints above 2**53
+    that Python keeps apart.  A stable argsort of the right keys plus
+    two ``searchsorted`` calls yields, for every left row, the right
+    matches in right-scan order — the exact pair order
+    :func:`_match_pairs_scalar` produces (left-row major, right-scan
+    order within a key).
+    """
+    lkeys = _key_array(left_rows, lpos)
+    if lkeys is None:
+        return None
+    rkeys = _key_array(right_rows, rpos)
+    if rkeys is None or rkeys.dtype.kind != lkeys.dtype.kind:
         return None
     order = np.argsort(rkeys, kind="stable")
     rsorted = rkeys[order]
@@ -191,11 +214,12 @@ def _match_pairs_vectorized(left_rows, right_rows, lpos: int, rpos: int):
 def _match_pairs(left_rows, right_rows, lpos: int, rpos: int):
     """All (left, right) pairs with equal join keys.
 
-    Dispatches to the vectorized matcher when enabled and the key dtypes
-    are comparable under numpy with Python-identical semantics; the two
-    paths produce pairs in the same order.
+    Uses the numpy matcher when both sides have rows and their keys
+    compare under numpy exactly as under Python, and
+    :func:`_match_pairs_scalar` otherwise; the two produce pairs in the
+    same order.
     """
-    if vectorize.enabled() and left_rows and right_rows:
+    if left_rows and right_rows:
         pairs = _match_pairs_vectorized(left_rows, right_rows, lpos, rpos)
         if pairs is not None:
             return pairs

@@ -2,10 +2,13 @@
 cold vs warm buffer pool.
 
 The repo's first *microbenchmark* baseline.  Every case runs the same
-operation twice — once forced through the scalar reference path, once
-through the numpy-batched path (:mod:`repro.engine.vectorize`) — over
-identical inputs, asserting the outputs match before any timing is
-trusted.  A second set of cases replays access paths through a
+operation two ways over identical inputs: through the engine's
+row-at-a-time functions (``filter_rows``, ``_match_pairs_scalar`` with
+``_project_join``'s list-pairs branch, ``EquiDepthHistogram._build_scalar``
+— the code the engine falls back to when numpy cannot decide) and
+through the engine's own entry point, which takes the numpy-batched
+path on these inputs.  The outputs are asserted equal before any timing
+is taken.  A second set of cases replays access paths through a
 :class:`~repro.engine.buffer.BufferPool` and reports how physical I/O
 collapses between a cold and a warm cache.
 
@@ -22,11 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine import vectorize
-from ..engine.access import seq_scan
+from ..engine.access import _project, filter_rows, seq_scan
 from ..engine.buffer import BufferPool
 from ..engine.histogram import EquiDepthHistogram
-from ..engine.joins import hash_join, sort_merge_join
+from ..engine.joins import (
+    _match_pairs_scalar,
+    _project_join,
+    hash_join,
+    sort_merge_join,
+)
 from ..engine.predicate import And, Comparison
 from ..engine.query import JoinQuery, SelectQuery
 from ..engine.schema import Column, TableSchema
@@ -134,21 +141,44 @@ def _join_table(name: str, rows: int, seed: int) -> Table:
     return table
 
 
-def _time_paths(operation) -> tuple[float, float, object, object]:
-    """Best-of-:data:`REPEATS` seconds for (scalar, vectorized) runs."""
+def _time_paths(scalar, vectorized, same) -> tuple[float, float, object]:
+    """Best-of-:data:`REPEATS` seconds for (scalar, vectorized) runs,
+    plus the vectorized result.
 
-    def best(context) -> tuple[float, object]:
-        seconds, result = float("inf"), None
+    One untimed run of each comes first, and ``same(scalar_out,
+    vectorized_out)`` must hold before either path is timed.
+    """
+    vector_result = vectorized()
+    if not same(scalar(), vector_result):
+        raise AssertionError("scalar and vectorized outputs differ")
+
+    def best(operation) -> float:
+        seconds = float("inf")
         for _ in range(REPEATS):
-            with context():
-                started = time.perf_counter()
-                result = operation()
-                seconds = min(seconds, time.perf_counter() - started)
-        return seconds, result
+            started = time.perf_counter()
+            operation()
+            seconds = min(seconds, time.perf_counter() - started)
+        return seconds
 
-    scalar_seconds, scalar_result = best(vectorize.force_scalar)
-    vector_seconds, vector_result = best(vectorize.force_vectorized)
-    return scalar_seconds, vector_seconds, scalar_result, vector_result
+    return best(scalar), best(vectorized), vector_result
+
+
+def _same_rows(scalar_out, vector_out) -> bool:
+    return vector_out.result.rows == scalar_out.rows
+
+
+def _scalar_join(left: Table, right: Table, query: JoinQuery):
+    """The engine's row-at-a-time join: hash-bucket matching and the
+    list-pairs projection.  The bench query has no local selections, so
+    both operands enter matching whole, as ``_reduce_operand`` passes
+    them."""
+    pairs = _match_pairs_scalar(
+        left.rows(),
+        right.rows(),
+        left.schema.position(query.left_column),
+        right.schema.position(query.right_column),
+    )
+    return _project_join(left, right, query, pairs)
 
 
 def run_engine_hotpaths(
@@ -171,12 +201,15 @@ def run_engine_hotpaths(
         ("a", "b"),
         And(Comparison("a", "<", 5_000), Comparison("b", ">=", 10)),
     )
-    s, v, scalar_out, vector_out = _time_paths(
-        lambda: seq_scan(scan_table, scan_query)
+    s, v, scan_out = _time_paths(
+        lambda: _project(
+            scan_table, scan_query, filter_rows(scan_table, scan_query.predicate)
+        ),
+        lambda: seq_scan(scan_table, scan_query),
+        _same_rows,
     )
-    assert vector_out.result.rows == scalar_out.result.rows
     result.cases.append(
-        HotpathCase("seq_scan", scan_rows, scalar_out.result.cardinality, s, v)
+        HotpathCase("seq_scan", scan_rows, scan_out.result.cardinality, s, v)
     )
 
     # -- joins: operand reduction + equi-key matching --------------------
@@ -184,24 +217,24 @@ def run_engine_hotpaths(
     right = _join_table("R", join_rows, seed=config.seed + 22)
     join_query = JoinQuery("L", "R", "k", "k", ("L.v", "R.v"))
     for name, method in (("hash_join", hash_join), ("sort_merge_join", sort_merge_join)):
-        s, v, scalar_out, vector_out = _time_paths(
-            lambda method=method: method(left, right, join_query)
+        s, v, join_out = _time_paths(
+            lambda: _scalar_join(left, right, join_query),
+            lambda method=method: method(left, right, join_query),
+            _same_rows,
         )
-        assert vector_out.result.rows == scalar_out.result.rows
         result.cases.append(
-            HotpathCase(
-                name, 2 * join_rows, scalar_out.result.cardinality, s, v
-            )
+            HotpathCase(name, 2 * join_rows, join_out.result.cardinality, s, v)
         )
 
     # -- histogram build: duplicate-run scanning -------------------------
     values = scan_table.column_values("a")
-    s, v, scalar_out, vector_out = _time_paths(
-        lambda: EquiDepthHistogram.build(values, HISTOGRAM_BUCKETS)
+    s, v, histogram = _time_paths(
+        lambda: EquiDepthHistogram._build_scalar(values, HISTOGRAM_BUCKETS),
+        lambda: EquiDepthHistogram.build(values, HISTOGRAM_BUCKETS),
+        lambda scalar_out, vector_out: vector_out == scalar_out,
     )
-    assert vector_out == scalar_out
     result.cases.append(
-        HotpathCase("histogram_build", scan_rows, scalar_out.num_buckets, s, v)
+        HotpathCase("histogram_build", scan_rows, histogram.num_buckets, s, v)
     )
 
     # -- buffer pool: physical I/O cold vs warm --------------------------

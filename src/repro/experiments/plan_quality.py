@@ -226,7 +226,7 @@ def run_plan_quality(
                 catalog.register_table(facts)
             for (label, model_approach), model in site_models[site.name].items():
                 if model_approach == approach:
-                    catalog.store_cost_model(site.name, model)
+                    catalog.registry.publish(site.name, model)
         catalogs[approach] = catalog
 
     optimizers = {

@@ -6,12 +6,13 @@ site: the globally visible schema facts (table cardinalities, tuple
 lengths, column statistics, index definitions) and the derived
 multi-states cost models, keyed by query class.
 
-Cost models are held in a versioned
-:class:`~repro.mdbs.registry.CostModelRegistry`; the flat
-``store_cost_model`` / ``cost_model`` surface below serves the *active*
-version of each ``(site, class)``, so pre-lifecycle callers keep working
-unchanged while maintenance can publish, activate, and roll back
-versions underneath them.
+Cost models live in one versioned
+:class:`~repro.mdbs.registry.CostModelRegistry`, exposed as
+``catalog.registry``: callers publish, resolve, and roll back models
+there directly.  The catalog itself only adds the persistence format
+around it (:meth:`GlobalCatalog.export_models` /
+:meth:`GlobalCatalog.import_models` and their file wrappers), which
+also registers the sites an imported payload names.
 """
 
 from __future__ import annotations
@@ -19,15 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from ..core.model import MultiStateCostModel
-from .registry import (
-    CostModelRegistry,
-    CostModelRegistryError,
-    ModelProvenance,
-    ModelVersion,
-)
+from .registry import CostModelRegistry
 
 #: Version of the on-disk cost-model payload this code writes.
 #: v3 adds the model-form strategy and its online-update log to each
@@ -41,7 +36,8 @@ SUPPORTED_MODEL_SCHEMA_VERSIONS = (2, 3)
 
 
 class GlobalCatalogError(KeyError):
-    """A requested site, table, or cost model is not in the catalog."""
+    """A requested site or table is not in the catalog, or a payload's
+    schema version is unsupported."""
 
 
 @dataclass
@@ -60,7 +56,7 @@ class TableFacts:
 
 
 class GlobalCatalog:
-    """Site registry + schema facts + versioned cost-model store."""
+    """Site registry + schema facts + the versioned cost-model registry."""
 
     def __init__(self) -> None:
         self._sites: list[str] = []
@@ -101,49 +97,6 @@ class GlobalCatalog:
         """Sites hosting a table with this name."""
         return sorted(s for (s, t) in self._tables if t == table_name)
 
-    # -- cost models --------------------------------------------------------
-
-    def store_cost_model(self, site: str, model: MultiStateCostModel) -> None:
-        """Publish *model* as a new active version (legacy flat surface)."""
-        self.publish_cost_model(site, model)
-
-    def publish_cost_model(
-        self,
-        site: str,
-        model: MultiStateCostModel,
-        provenance: ModelProvenance | None = None,
-        activate: bool = True,
-    ) -> ModelVersion:
-        """Publish *model* into the registry; returns the new version."""
-        self._require_site(site)
-        return self.registry.publish(site, model, provenance, activate=activate)
-
-    def cost_model(self, site: str, class_label: str) -> MultiStateCostModel:
-        """The *active* model version for (site, class)."""
-        try:
-            return self.registry.active_model(site, class_label)
-        except CostModelRegistryError:
-            raise GlobalCatalogError(
-                f"no cost model for class {class_label!r} at site {site!r}"
-            ) from None
-
-    def rollback_cost_model(self, site: str, class_label: str) -> ModelVersion:
-        """Re-activate the previously active version for (site, class)."""
-        try:
-            return self.registry.rollback(site, class_label)
-        except CostModelRegistryError as exc:
-            raise GlobalCatalogError(str(exc)) from None
-
-    def cost_model_history(self, site: str, class_label: str) -> list[ModelVersion]:
-        return self.registry.history(site, class_label)
-
-    def has_cost_model(self, site: str, class_label: str) -> bool:
-        return self.registry.has_model(site, class_label)
-
-    def cost_models_at(self, site: str) -> list[MultiStateCostModel]:
-        self._require_site(site)
-        return self.registry.active_models_at(site)
-
     # -- persistence ---------------------------------------------------------
 
     def export_models(self) -> dict:
@@ -153,7 +106,7 @@ class GlobalCatalog:
             "models": self.registry.export(),
         }
 
-    def import_models(self, payload: dict, sites: Iterable[str] = ()) -> int:
+    def import_models(self, payload: dict) -> int:
         """Load an :meth:`export_models` payload; returns models loaded.
 
         Accepts the current versioned format (``schema_version`` 3), the
@@ -161,19 +114,20 @@ class GlobalCatalog:
         legacy flat ``{"site/label": model_dict}`` format (implicit
         version 1).  Unknown schema versions are rejected — silently
         misreading a future payload as models would corrupt the serving
-        path.
+        path.  The import is all or nothing: every record is decoded
+        before any model is installed or any site registered, so a
+        corrupt payload raises and leaves the catalog as it was.
         """
-        for site in sites:
-            self.register_site(site)
         if "schema_version" not in payload:
-            records = payload  # legacy flat v1 payload
-            for key, model_dict in records.items():
-                site, _, _ = key.partition("/")
+            # Legacy flat v1 payload: one model per key.
+            models = [
+                (key.partition("/")[0], MultiStateCostModel.from_dict(model_dict))
+                for key, model_dict in payload.items()
+            ]
+            for site, model in models:
                 self.register_site(site)
-                self.registry.publish(
-                    site, MultiStateCostModel.from_dict(model_dict)
-                )
-            return len(records)
+                self.registry.publish(site, model)
+            return len(models)
         version = payload["schema_version"]
         if version not in SUPPORTED_MODEL_SCHEMA_VERSIONS:
             supported = ", ".join(str(v) for v in SUPPORTED_MODEL_SCHEMA_VERSIONS)
@@ -182,9 +136,10 @@ class GlobalCatalog:
                 f"(this build reads {supported} and the legacy flat format)"
             )
         records = payload["models"]
+        loaded = self.registry.import_payload(records)
         for key in records:
             self.register_site(key.partition("/")[0])
-        return self.registry.import_payload(records)
+        return loaded
 
     def save_models(self, path) -> None:
         """Persist every stored cost-model version as JSON at *path*.

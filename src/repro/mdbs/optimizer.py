@@ -29,10 +29,11 @@ from ..engine.predicate import Comparison, extract_key_range
 from ..engine.query import SelectQuery
 from ..engine.schema import ColumnStatistics, TableStatistics
 from .agent import MDBSAgent
-from .catalog import GlobalCatalog, GlobalCatalogError, TableFacts
+from .catalog import GlobalCatalog, TableFacts
 from .gquery import ComponentQueries, GlobalJoinQuery, decompose
 from .network import NetworkModel
 from .probing_service import ProbingService
+from .registry import CostModelRegistryError
 
 
 def facts_to_statistics(facts: TableFacts) -> TableStatistics:
@@ -207,10 +208,11 @@ class GlobalQueryOptimizer:
         can still produce an order-of-magnitude estimate; that beats
         aborting the whole plan enumeration.
         """
+        registry = self.catalog.registry
         try:
-            return self.catalog.cost_model(site, query_class.label)
-        except GlobalCatalogError:
-            for model in self.catalog.cost_models_at(site):
+            return registry.active_model(site, query_class.label)
+        except CostModelRegistryError:
+            for model in registry.active_models_at(site):
                 if model.family == query_class.family:
                     obs.inc("mdbs.optimizer.class_fallback")
                     return model

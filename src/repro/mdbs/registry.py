@@ -17,9 +17,9 @@ its predecessor.  This module supplies that lifecycle layer:
   ``publish`` / ``activate`` / ``rollback`` / ``history`` operations,
   plus a JSON payload format that round-trips every version.
 
-:class:`~repro.mdbs.catalog.GlobalCatalog` delegates its cost-model
-surface here, so every existing caller transparently serves the active
-version.
+:class:`~repro.mdbs.catalog.GlobalCatalog` holds one registry as
+``catalog.registry``; every reader and writer of cost models goes
+through it.
 """
 
 from __future__ import annotations
@@ -405,34 +405,65 @@ class CostModelRegistry:
     def import_payload(self, payload: dict) -> int:
         """Load an :meth:`export` payload; returns the number of keys loaded.
 
+        All or nothing: every record is decoded and checked — each
+        version parses and ``active`` names one of them — before any
+        version, pointer, or subscriber is touched, so a corrupt payload
+        raises :class:`CostModelRegistryError` and changes nothing.
         Versions and active pointers round-trip; the rollback stack does
         not (after an import, :meth:`rollback` falls back to the
         next-lower version number).
         """
+        records = [_decode_record(key, record) for key, record in payload.items()]
         with self._write_lock:
-            for key, record in payload.items():
-                site, _, label = key.partition("/")
-                versions = [
-                    ModelVersion.from_dict(site, label, entry)
-                    for entry in record["versions"]
-                ]
-                versions.sort(key=lambda entry: entry.version)
-                self._versions[(site, label)] = versions
-                active = record.get("active")
-                if active is None and versions:
-                    active = versions[-1].version
-                if active is not None:
-                    self._active[(site, label)] = int(active)
-                    self._notify("activate", site, label, int(active))
-                self._previous.pop((site, label), None)
+            for key, versions, active in records:
+                self._versions[key] = versions
+                self._previous.pop(key, None)
+                if active is None:
+                    self._active.pop(key, None)
+                else:
+                    self._active[key] = active
+                    self._notify("activate", key[0], key[1], active)
             self._update_gauges()
-        return len(payload)
+        return len(records)
 
     # -- observability ---------------------------------------------------
 
     def _update_gauges(self) -> None:
         obs.set_gauge("mdbs.registry.models", len(self._versions))
         obs.set_gauge("mdbs.registry.versions", len(self))
+
+
+def _decode_record(
+    key: str, record: dict
+) -> tuple[tuple[str, str], list[ModelVersion], int | None]:
+    """One exported ``site/class`` record as (key, sorted versions, active).
+
+    ``active`` defaults to the newest version; an ``active`` that names
+    no version in the record is rejected rather than left to fail at the
+    first lookup.
+    """
+    site, _, label = key.partition("/")
+    try:
+        versions = sorted(
+            (ModelVersion.from_dict(site, label, entry) for entry in record["versions"]),
+            key=lambda entry: entry.version,
+        )
+        active = record.get("active")
+        if active is not None:
+            active = int(active)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CostModelRegistryError(
+            f"corrupt cost-model record {key!r}: {exc!r}"
+        ) from exc
+    numbers = [entry.version for entry in versions]
+    if active is None:
+        active = numbers[-1] if numbers else None
+    elif active not in numbers:
+        raise CostModelRegistryError(
+            f"cost-model record {key!r}: active version {active} is not "
+            f"among its versions {numbers}"
+        )
+    return (site, label), versions, active
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from ..core.strategy import CostModelStrategy, OnlineSample, model_form, strateg
 from ..engine.query import JoinQuery, Query
 from ..obs.quality import AccuracyTracker, DriftDetector, DriftEvent, DriftPolicy
 from .agent import MDBSAgent
-from .catalog import GlobalCatalog
+from .catalog import GlobalCatalog, GlobalCatalogError
 from .gquery import GlobalJoinQuery
 from .network import NetworkModel
 from .optimizer import CostEstimate, GlobalPlan, GlobalQueryOptimizer
@@ -166,8 +166,11 @@ class MDBSServer:
         for facts in self.agents[site].export_table_facts():
             self.catalog.register_table(facts)
 
-    def store_cost_model(self, site: str, model: MultiStateCostModel) -> None:
-        self.catalog.store_cost_model(site, model)
+    def store_cost_model(self, site: str, model: MultiStateCostModel) -> ModelVersion:
+        """Publish *model* as the active version for a registered site."""
+        if site not in self.catalog.sites:
+            raise GlobalCatalogError(f"unknown site {site!r}")
+        return self.catalog.registry.publish(site, model)
 
     # -- model lifecycle --------------------------------------------------
 
@@ -324,7 +327,7 @@ class MDBSServer:
 
     def rollback_model(self, site: str, class_label: str) -> ModelVersion:
         """Serve the previously active model version again."""
-        return self.catalog.rollback_cost_model(site, class_label)
+        return self.catalog.registry.rollback(site, class_label)
 
     def _publish_outcome(self, site: str, outcome: BuildOutcome) -> ModelVersion:
         maintainer = self.maintainers[site]
@@ -336,7 +339,7 @@ class MDBSServer:
                 (site, outcome.model.class_label), None
             ),
         )
-        return self.catalog.publish_cost_model(site, outcome.model, provenance)
+        return self.catalog.registry.publish(site, outcome.model, provenance)
 
     # -- optimization -----------------------------------------------------------
 

@@ -1,20 +1,29 @@
-"""Property tests: the vectorized hot paths are byte-identical to the
-scalar reference implementations they replace.
+"""Property tests: the numpy hot paths are byte-identical to the
+row-at-a-time functions the engine falls back to.
 
-The scalar paths are kept in the codebase as executable specifications;
-these tests drive both through :mod:`repro.engine.vectorize`'s toggles
-and assert exact equality — rows, pair order, histogram boundaries,
-counts, everything — including the edge shapes named in the issue:
-empty tables, single-row tables, and all-duplicate key columns.
+Each operator runs once through its engine entry point (numpy whenever
+the input allows it) and is compared against its row-at-a-time
+reference — ``filter_rows``, ``_match_pairs_scalar``, ``_project_join``
+over list pairs, ``EquiDepthHistogram._build_scalar`` — asserting exact
+equality of rows, pair order, histogram boundaries, counts, everything,
+including empty tables, single-row tables, all-duplicate key columns,
+and keys numpy cannot compare the way Python does.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import vectorize
+from repro.engine.access import _project, filter_rows, seq_scan
 from repro.engine.histogram import EquiDepthHistogram
-from repro.engine.joins import _match_pairs, naive_join
+from repro.engine.joins import (
+    _match_pairs,
+    _match_pairs_scalar,
+    _match_pairs_vectorized,
+    _project_join,
+    hash_join,
+    naive_join,
+)
 from repro.engine.optimizer import choose_join_plan
 from repro.engine.predicate import And, Comparison, Not, Or, TruePredicate
 from repro.engine.query import JoinQuery, SelectQuery
@@ -84,31 +93,40 @@ class TestScanEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(rows=int_rows, pred=predicate)
     def test_seq_scan_rows_identical(self, rows, pred):
-        from repro.engine.access import seq_scan
-
+        table = make_table("t", rows)
         query = SelectQuery("t", ("a", "b"), pred)
-        with vectorize.force_scalar():
-            scalar = seq_scan(make_table("t", rows), query)
-        with vectorize.force_vectorized():
-            vector = seq_scan(make_table("t", rows), query)
-        assert vector.result.rows == scalar.result.rows
-        assert vector.metrics == scalar.metrics
+        scan = seq_scan(table, query)
+        reference = _project(table, query, filter_rows(table, pred))
+        assert scan.result.rows == reference.rows
+        assert scan.metrics.tuples_evaluated == table.cardinality
+        assert scan.metrics.tuples_output == len(reference.rows)
 
 
 join_keys = st.lists(st.integers(0, 6), max_size=40)
 
+#: Keys numpy would compare differently from Python if the matcher let
+#: it: an int above 2**53 next to the float it rounds to, small ints
+#: next to equal floats, and NaN (Python matches only the same object).
+mixed_keys = st.lists(
+    st.sampled_from([2**53 + 1, float(2**53), 2, 2.0, 3.5, float("nan")]),
+    max_size=12,
+)
+
 
 class TestJoinEquivalence:
     @settings(max_examples=100, deadline=None)
-    @given(left_keys=join_keys, right_keys=join_keys)
-    def test_match_pairs_identical_order(self, left_keys, right_keys):
+    @given(
+        keys=st.one_of(
+            st.tuples(join_keys, join_keys), st.tuples(mixed_keys, mixed_keys)
+        )
+    )
+    def test_match_pairs_identical_order(self, keys):
+        left_keys, right_keys = keys
         left_rows = [(k, i) for i, k in enumerate(left_keys)]
         right_rows = [(k, 100 + i) for i, k in enumerate(right_keys)]
-        with vectorize.force_scalar():
-            scalar = _match_pairs(left_rows, right_rows, 0, 0)
-        with vectorize.force_vectorized():
-            vector = _match_pairs(left_rows, right_rows, 0, 0)
-        assert vector == scalar
+        assert _match_pairs(left_rows, right_rows, 0, 0) == _match_pairs_scalar(
+            left_rows, right_rows, 0, 0
+        )
 
     def test_match_pairs_edge_shapes(self):
         for left, right in [
@@ -117,51 +135,51 @@ class TestJoinEquivalence:
             ([], [(1, 0)]),
             ([(7, 0)], [(7, 1)]),  # single row each
             ([(3, i) for i in range(5)], [(3, j) for j in range(4)]),  # all dups
+            # float64 rounds 2**53 + 1 to 2**53; Python's == does not —
+            # across the two sides, and within one side.
+            ([(2**53 + 1, 0)], [(float(2**53), 1)]),
+            ([(2**53 + 1, 0), (0.5, 2)], [(float(2**53), 1)]),
+            # Distinct NaN objects never match in Python.
+            ([(float("nan"), 0)], [(float("nan"), 1)]),
+            # np.array stringifies a number mixed into strings.
+            ([("1", 0), (1, 1)], [("1", 2)]),
         ]:
-            with vectorize.force_scalar():
-                scalar = _match_pairs(left, right, 0, 0)
-            with vectorize.force_vectorized():
-                vector = _match_pairs(left, right, 0, 0)
-            assert vector == scalar
+            assert _match_pairs(left, right, 0, 0) == _match_pairs_scalar(
+                left, right, 0, 0
+            )
 
     def test_string_keys_match(self):
         left = [("x", 1), ("y", 2), ("x", 3)]
         right = [("x", 9), ("z", 8)]
-        with vectorize.force_scalar():
-            scalar = _match_pairs(left, right, 0, 0)
-        with vectorize.force_vectorized():
-            vector = _match_pairs(left, right, 0, 0)
-        assert vector == scalar
+        assert _match_pairs_vectorized(left, right, 0, 0) is not None
+        assert _match_pairs(left, right, 0, 0) == _match_pairs_scalar(
+            left, right, 0, 0
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(left_rows=int_rows, right_rows=int_rows)
     def test_planned_join_rows_identical(self, left_rows, right_rows):
         query = JoinQuery("l", "r", "b", "b")
-
-        def run():
-            left = make_table("l", left_rows)
-            right = make_table("r", right_rows)
-            plan = choose_join_plan(left, right, [], [], query)
-            return plan.execute(left, right, query)
-
-        with vectorize.force_scalar():
-            scalar = run()
-        with vectorize.force_vectorized():
-            vector = run()
-        assert vector.method == scalar.method
-        assert vector.result.rows == scalar.result.rows
-        assert vector.metrics == scalar.metrics
+        left = make_table("l", left_rows)
+        right = make_table("r", right_rows)
+        plan = choose_join_plan(left, right, [], [], query)
+        planned = plan.execute(left, right, query)
+        pairs = _match_pairs_scalar(left.rows(), right.rows(), 1, 1)
+        reference = _project_join(left, right, query, pairs)
+        assert planned.result.rows == reference.rows
 
     @settings(max_examples=30, deadline=None)
-    @given(left_rows=int_rows, right_rows=int_rows)
-    def test_naive_join_rows_identical(self, left_rows, right_rows):
-        query = JoinQuery("l", "r", "b", "b")
-        with vectorize.force_scalar():
-            scalar = naive_join(make_table("l", left_rows), make_table("r", right_rows), query)
-        with vectorize.force_vectorized():
-            vector = naive_join(make_table("l", left_rows), make_table("r", right_rows), query)
-        assert vector.result.rows == scalar.result.rows
-        assert vector.metrics == scalar.metrics
+    @given(left_rows=int_rows, right_rows=int_rows, pred=predicate)
+    def test_naive_join_rows_identical(self, left_rows, right_rows, pred):
+        query = JoinQuery("l", "r", "b", "b", left_predicate=pred)
+        left = make_table("l", left_rows)
+        right = make_table("r", right_rows)
+        naive = naive_join(left, right, query)
+        hashed = hash_join(left, right, query)
+        assert hashed.result.rows == naive.result.rows
+        assert hashed.left_info.intermediate_cardinality == (
+            naive.left_info.intermediate_cardinality
+        )
 
 
 hist_values = st.lists(
@@ -173,37 +191,20 @@ class TestHistogramEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(values=hist_values, num_buckets=st.integers(1, 12))
     def test_build_identical(self, values, num_buckets):
-        with vectorize.force_scalar():
-            scalar = EquiDepthHistogram.build(values, num_buckets)
-        with vectorize.force_vectorized():
-            vector = EquiDepthHistogram.build(values, num_buckets)
-        assert vector == scalar
+        assert EquiDepthHistogram.build(
+            values, num_buckets
+        ) == EquiDepthHistogram._build_scalar(values, num_buckets)
 
     def test_edge_shapes_identical(self):
         for values in [[5], [3.0] * 50, list(range(7)), [1, 1, 2, 2, 2, 9]]:
-            with vectorize.force_scalar():
-                scalar = EquiDepthHistogram.build(values, 4)
-            with vectorize.force_vectorized():
-                vector = EquiDepthHistogram.build(values, 4)
-            assert vector == scalar
+            assert EquiDepthHistogram.build(
+                values, 4
+            ) == EquiDepthHistogram._build_scalar(values, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(values=hist_values, probe=st.integers(-1100, 1100))
     def test_estimates_identical(self, values, probe):
-        with vectorize.force_scalar():
-            scalar = EquiDepthHistogram.build(values, 8)
-        with vectorize.force_vectorized():
-            vector = EquiDepthHistogram.build(values, 8)
-        assert vector.estimate_le(probe) == scalar.estimate_le(probe)
-        assert vector.estimate_eq(probe) == scalar.estimate_eq(probe)
-
-
-class TestToggle:
-    def test_context_managers_nest_and_restore(self):
-        before = vectorize.enabled()
-        with vectorize.force_scalar():
-            assert not vectorize.enabled()
-            with vectorize.force_vectorized():
-                assert vectorize.enabled()
-            assert not vectorize.enabled()
-        assert vectorize.enabled() == before
+        built = EquiDepthHistogram.build(values, 8)
+        reference = EquiDepthHistogram._build_scalar(values, 8)
+        assert built.estimate_le(probe) == reference.estimate_le(probe)
+        assert built.estimate_eq(probe) == reference.estimate_eq(probe)

@@ -6,6 +6,7 @@ from repro.core.fitting import fit_qualitative
 from repro.core.model import MultiStateCostModel
 from repro.core.partition import uniform_partition
 from repro.mdbs.catalog import GlobalCatalog, GlobalCatalogError, TableFacts
+from repro.mdbs.registry import CostModelRegistryError
 
 from ..core.synthetic import stepped_sample
 
@@ -73,27 +74,28 @@ class TestTables:
 class TestCostModels:
     def test_store_and_fetch(self, catalog):
         model = make_model()
-        catalog.store_cost_model("s1", model)
-        assert catalog.cost_model("s1", "G1") is model
-        assert catalog.has_cost_model("s1", "G1")
-        assert not catalog.has_cost_model("s2", "G1")
+        catalog.registry.publish("s1", model)
+        assert catalog.registry.active_model("s1", "G1") is model
+        assert catalog.registry.has_model("s1", "G1")
+        assert not catalog.registry.has_model("s2", "G1")
 
     def test_missing_model_rejected(self, catalog):
-        with pytest.raises(GlobalCatalogError):
-            catalog.cost_model("s1", "G1")
+        with pytest.raises(CostModelRegistryError):
+            catalog.registry.active_model("s1", "G1")
 
     def test_models_at_site(self, catalog):
-        catalog.store_cost_model("s1", make_model("G1"))
-        catalog.store_cost_model("s1", make_model("G3"))
-        assert [m.class_label for m in catalog.cost_models_at("s1")] == ["G1", "G3"]
+        catalog.registry.publish("s1", make_model("G1"))
+        catalog.registry.publish("s1", make_model("G3"))
+        labels = [m.class_label for m in catalog.registry.active_models_at("s1")]
+        assert labels == ["G1", "G3"]
 
     def test_export_import_round_trip(self, catalog):
         model = make_model()
-        catalog.store_cost_model("s1", model)
+        catalog.registry.publish("s1", model)
         payload = catalog.export_models()
         fresh = GlobalCatalog()
         fresh.import_models(payload)
-        restored = fresh.cost_model("s1", "G1")
+        restored = fresh.registry.active_model("s1", "G1")
         assert restored.predict({"x": 10.0}, 0.5) == pytest.approx(
             model.predict({"x": 10.0}, 0.5)
         )
@@ -101,20 +103,20 @@ class TestCostModels:
     def test_export_is_json_compatible(self, catalog):
         import json
 
-        catalog.store_cost_model("s1", make_model())
+        catalog.registry.publish("s1", make_model())
         json.dumps(catalog.export_models())
 
 
 class TestFilePersistence:
     def test_save_load_round_trip(self, catalog, tmp_path):
         model = make_model()
-        catalog.store_cost_model("s1", model)
+        catalog.registry.publish("s1", model)
         path = tmp_path / "models.json"
         catalog.save_models(path)
 
         fresh = GlobalCatalog()
         assert fresh.load_models(path) == 1
-        restored = fresh.cost_model("s1", "G1")
+        restored = fresh.registry.active_model("s1", "G1")
         assert restored.predict({"x": 4.0}, 0.3) == pytest.approx(
             model.predict({"x": 4.0}, 0.3)
         )
@@ -126,7 +128,7 @@ class TestFilePersistence:
     def test_saved_file_is_readable_json(self, catalog, tmp_path):
         import json
 
-        catalog.store_cost_model("s2", make_model("G3"))
+        catalog.registry.publish("s2", make_model("G3"))
         path = tmp_path / "models.json"
         catalog.save_models(path)
         payload = json.loads(path.read_text())
@@ -141,7 +143,7 @@ class TestFilePersistence:
         path.write_text(json.dumps({"s1/G1": model.to_dict()}))
         fresh = GlobalCatalog()
         assert fresh.load_models(path) == 1
-        assert fresh.cost_model("s1", "G1").class_label == "G1"
+        assert fresh.registry.active_model("s1", "G1").class_label == "G1"
 
     def test_unknown_schema_version_rejected(self, catalog, tmp_path):
         import json
@@ -155,7 +157,7 @@ class TestFilePersistence:
     def test_versions_round_trip_with_provenance(self, catalog, tmp_path):
         from repro.mdbs.registry import ModelProvenance
 
-        v1 = catalog.publish_cost_model(
+        v1 = catalog.registry.publish(
             "s1",
             make_model("G1"),
             ModelProvenance(
@@ -167,14 +169,14 @@ class TestFilePersistence:
                 config_hash="abc123",
             ),
         )
-        v2 = catalog.publish_cost_model("s1", make_model("G1"))
+        v2 = catalog.registry.publish("s1", make_model("G1"))
         assert (v1.version, v2.version) == (1, 2)
         path = tmp_path / "versions.json"
         catalog.save_models(path)
 
         fresh = GlobalCatalog()
         assert fresh.load_models(path) == 1
-        history = fresh.cost_model_history("s1", "G1")
+        history = fresh.registry.history("s1", "G1")
         assert [v.version for v in history] == [1, 2]
         assert history[0].provenance.derived_at == 120.0
         assert history[0].provenance.config_hash == "abc123"
@@ -182,5 +184,51 @@ class TestFilePersistence:
         # The active pointer round-trips: v2 is served.
         assert fresh.registry.active_version("s1", "G1").version == 2
         # Rollback after a reload still finds the earlier version.
-        fresh.rollback_cost_model("s1", "G1")
+        fresh.registry.rollback("s1", "G1")
         assert fresh.registry.active_version("s1", "G1").version == 1
+
+
+class TestImportAtomicity:
+    """A corrupt payload is rejected whole: no site, version, active
+    pointer, or subscriber event is left behind."""
+
+    @staticmethod
+    def payload_with(corrupt):
+        source = GlobalCatalog()
+        source.register_site("s1")
+        source.register_site("s2")
+        source.registry.publish("s1", make_model("G1"))
+        source.registry.publish("s2", make_model("G3"))
+        payload = source.export_models()
+        corrupt(payload["models"]["s2/G3"])
+        return payload
+
+    def assert_rejected_untouched(self, payload):
+        target = GlobalCatalog()
+        target.register_site("s0")
+        original = make_model("G1")
+        target.registry.publish("s0", original)
+        before = target.export_models()
+        events = []
+        target.registry.subscribe(lambda *event: events.append(event))
+
+        with pytest.raises(CostModelRegistryError):
+            target.import_models(payload)
+
+        assert target.sites == ("s0",)
+        assert target.export_models() == before
+        assert target.registry.keys() == [("s0", "G1")]
+        assert target.registry.active_model("s0", "G1") is original
+        assert events == []
+
+    def test_second_record_missing_model(self):
+        def drop_model(record):
+            del record["versions"][0]["model"]
+
+        self.assert_rejected_untouched(self.payload_with(drop_model))
+
+    def test_dangling_active_version(self):
+        def dangle(record):
+            record["active"] = 99
+
+        self.assert_rejected_untouched(self.payload_with(dangle))

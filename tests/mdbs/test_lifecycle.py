@@ -55,23 +55,23 @@ def test_full_lifecycle(lifecycle):
         assert 0.0 <= v1.provenance.derived_at <= site.environment.now
 
         # Serve: the optimizer-facing surface resolves to the active version.
-        assert server.catalog.cost_model(site.name, "G1") is v1.model
+        assert server.catalog.registry.active_model(site.name, "G1") is v1.model
 
         # Nothing due yet: the rebuild period hasn't elapsed and the
         # catalog hasn't changed.
         assert server.maintain() == {site.name: {}}
-        assert len(server.catalog.cost_model_history(site.name, "G1")) == 1
+        assert len(server.catalog.registry.history(site.name, "G1")) == 1
 
         # Maintain: once the rebuild period elapses, maintain() re-derives
         # and publishes version 2 — version 1 stays in the history.
         site.environment.advance(REBUILD_PERIOD + 1.0)
         results = server.maintain()
         assert set(results[site.name]) == {"G1"}
-        history = server.catalog.cost_model_history(site.name, "G1")
+        history = server.catalog.registry.history(site.name, "G1")
         assert [v.version for v in history] == [1, 2]
         v2 = server.catalog.registry.active_version(site.name, "G1")
         assert v2.version == 2
-        assert server.catalog.cost_model(site.name, "G1") is results[site.name][
+        assert server.catalog.registry.active_model(site.name, "G1") is results[site.name][
             "G1"
         ].model
         assert v2.provenance.derived_at > v1.provenance.derived_at
@@ -80,9 +80,9 @@ def test_full_lifecycle(lifecycle):
         # superseded one is still in the history.
         restored = server.rollback_model(site.name, "G1")
         assert restored.version == 1
-        assert server.catalog.cost_model(site.name, "G1") is v1.model
+        assert server.catalog.registry.active_model(site.name, "G1") is v1.model
         assert [
-            v.version for v in server.catalog.cost_model_history(site.name, "G1")
+            v.version for v in server.catalog.registry.history(site.name, "G1")
         ] == [1, 2]
 
         assert registry.counter_value("mdbs.registry.published") == 2.0
@@ -95,7 +95,7 @@ def test_full_lifecycle(lifecycle):
 
 def test_catalog_change_triggers_rebuild(lifecycle):
     server, site = lifecycle
-    before = len(server.catalog.cost_model_history(site.name, "G1"))
+    before = len(server.catalog.registry.history(site.name, "G1"))
 
     # An occasionally-changing factor: a new table appears at the site
     # (R1..R12 exist already; R13 does not).
@@ -111,7 +111,7 @@ def test_catalog_change_triggers_rebuild(lifecycle):
         server.maintainers[site.name].detector.rebase()
 
     assert "G1" in results[site.name]
-    history = server.catalog.cost_model_history(site.name, "G1")
+    history = server.catalog.registry.history(site.name, "G1")
     assert len(history) == before + 1
     # The fresh version is active (publication re-activates after the
     # rollback in the previous test).

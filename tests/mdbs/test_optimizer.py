@@ -9,7 +9,7 @@ from repro import obs
 from repro.core.classification import class_by_label, classify
 from repro.engine.predicate import Comparison
 from repro.engine.query import SelectQuery
-from repro.mdbs.catalog import GlobalCatalog, GlobalCatalogError
+from repro.mdbs.catalog import GlobalCatalog
 from repro.mdbs.gquery import GlobalJoinQuery
 from repro.mdbs.optimizer import (
     GlobalQueryOptimizer,
@@ -17,6 +17,7 @@ from repro.mdbs.optimizer import (
     estimate_unary_variables,
     facts_to_statistics,
 )
+from repro.mdbs.registry import CostModelRegistryError
 
 
 @pytest.fixture
@@ -138,19 +139,19 @@ class TestClassFallback:
         server, _ = mini_mdbs
         catalog = GlobalCatalog()
         catalog.register_site("oracle_site")
-        catalog.store_cost_model(
-            "oracle_site", server.catalog.cost_model("oracle_site", "G1")
+        catalog.registry.publish(
+            "oracle_site", server.catalog.registry.active_model("oracle_site", "G1")
         )
         optimizer = GlobalQueryOptimizer(catalog, server.agents, server.network)
         # Only a unary model exists; a join-family class has no stand-in.
-        with pytest.raises(GlobalCatalogError):
+        with pytest.raises(CostModelRegistryError):
             optimizer._model_for("oracle_site", class_by_label("G3"))
 
 
 class TestNegativeClamp:
     def test_negative_prediction_is_clamped_and_counted(self, mini_mdbs):
         server, _ = mini_mdbs
-        model = server.catalog.cost_model("oracle_site", "G1")
+        model = server.catalog.registry.active_model("oracle_site", "G1")
         below, above = (
             dataclasses.replace(model, coefficients=np.full_like(model.coefficients, c))
             for c in (-1.0, 1.0)

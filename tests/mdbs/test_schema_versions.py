@@ -40,9 +40,9 @@ def populated_catalog():
     catalog = GlobalCatalog()
     catalog.register_site("s1")
     catalog.register_site("s2")
-    catalog.store_cost_model("s1", make_model("G1"))
-    catalog.store_cost_model("s1", make_model("G3", seed=4))
-    catalog.store_cost_model("s2", make_model("G1", strategy=RLSStrategy(), seed=2))
+    catalog.registry.publish("s1", make_model("G1"))
+    catalog.registry.publish("s1", make_model("G3", seed=4))
+    catalog.registry.publish("s2", make_model("G1", strategy=RLSStrategy(), seed=2))
     return catalog
 
 
@@ -122,7 +122,7 @@ class TestV2BackCompat:
     def test_v2_models_still_predict(self):
         fresh = GlobalCatalog()
         fresh.import_models(self.v2_payload())
-        model = fresh.cost_model("s1", "G1")
+        model = fresh.registry.active_model("s1", "G1")
         assert model.predict({"x": 10.0}, 0.5) > 0.0
 
 
@@ -135,7 +135,7 @@ class TestV1BackCompat:
         )
         assert loaded == 1
         assert "s1" in fresh.sites
-        restored = fresh.cost_model("s1", "G1")
+        restored = fresh.registry.active_model("s1", "G1")
         assert restored.predict({"x": 3.0}, 0.4) == pytest.approx(
             model.predict({"x": 3.0}, 0.4)
         )

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.engine.predicate import Comparison
+from repro.mdbs.catalog import GlobalCatalogError
 from repro.mdbs.gquery import GlobalJoinQuery
+from repro.mdbs.server import MDBSServer
 
 
 @pytest.fixture
@@ -55,6 +57,16 @@ class TestRegistration:
         assert facts.cardinality == sites[
             "oracle_site"
         ].database.catalog.table("R1").cardinality
+
+
+    def test_store_cost_model_rejects_unknown_site(self, mini_mdbs):
+        server, _ = mini_mdbs
+        model = server.catalog.registry.active_model("oracle_site", "G1")
+        fresh = MDBSServer()
+        with pytest.raises(GlobalCatalogError, match="unknown site"):
+            fresh.store_cost_model("nowhere", model)
+        assert len(fresh.catalog.registry) == 0
+        assert fresh.catalog.sites == ()
 
 
 class TestExecution:
