@@ -247,10 +247,14 @@ def _project_join(
         # Columnar projection: build one output column at a time and let
         # zip assemble the row tuples.  When a side's matched rows ARE
         # the table's own rows (no local selection reduced them), gather
-        # the column by numpy fancy index straight from the table's
-        # cached column array; otherwise fall back to a fused C-level
-        # map over the index list.  Both produce the identical Python
-        # values (int64/float64/unicode round-trip exactly).
+        # the column by numpy fancy index from the table's column array
+        # if it is already cached, or if the projection takes at least
+        # as many values as the table has rows (building the array is
+        # one pass over the table, then cached for later joins).
+        # Otherwise — e.g. a fresh temp table projecting a few matches —
+        # use a fused C-level map over the index list, which shares the
+        # row's value objects.  Both produce equal Python values
+        # (int64/float64/unicode round-trip exactly).
         columns = []
         for side, pos, cname in extractors:
             table_, rows_, idx_array = (
@@ -259,8 +263,10 @@ def _project_join(
                 else (right, pairs.right_rows, pairs.right_idx_array)
             )
             if rows_ is table_.rows():
-                array = table_.column_array(cname)
-                if array.dtype.kind in "iufU":
+                array = table_.cached_column_array(cname)
+                if array is None and len(idx_array) >= len(rows_):
+                    array = table_.column_array(cname)
+                if array is not None and array.dtype.kind in "iufU":
                     columns.append(array[idx_array].tolist())
                     continue
             idx = pairs.left_idx if side == "l" else pairs.right_idx

@@ -8,6 +8,7 @@ single source of truth for tuple length.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -140,39 +141,31 @@ class ColumnStatistics:
     def from_values(
         cls, values: Iterable[Any], build_histogram: bool = False, buckets: int = 16
     ) -> "ColumnStatistics":
-        """Compute statistics over *values* in one pass.
+        """Compute statistics over *values*.
 
-        With ``build_histogram=True`` (numeric columns only), an
-        equi-depth histogram is attached as well.
+        The builtins ``min`` and ``max`` keep the first value no later
+        value compares ``<`` (``>``) to, so ties keep the earliest object
+        and a NaN is kept only when it comes first.  With
+        ``build_histogram=True`` (numeric columns only), an equi-depth
+        histogram is attached as well.
         """
-        minimum = None
-        maximum = None
-        distinct: set[Any] = set()
-        collected: list[Any] = []
-        for v in values:
-            if minimum is None or v < minimum:
-                minimum = v
-            if maximum is None or v > maximum:
-                maximum = v
-            distinct.add(v)
-            if build_histogram:
-                collected.append(v)
-        import numbers
-
+        values = list(values)
+        minimum = min(values) if values else None
+        maximum = max(values) if values else None
         histogram = None
         if (
             build_histogram
-            and collected
+            and values
             and isinstance(minimum, numbers.Real)
             and not isinstance(minimum, bool)
         ):
             from .histogram import EquiDepthHistogram
 
-            histogram = EquiDepthHistogram.build(collected, num_buckets=buckets)
+            histogram = EquiDepthHistogram.build(values, num_buckets=buckets)
         return cls(
             minimum=minimum,
             maximum=maximum,
-            distinct_count=len(distinct),
+            distinct_count=len(set(values)),
             histogram=histogram,
         )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,13 +95,38 @@ class Table:
         return len(self._rows) - 1
 
     def bulk_load(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Validate and append many rows; returns number inserted."""
-        count = 0
-        for row in rows:
-            self._rows.append(self.schema.validate_row(row))
-            count += 1
+        """Validate and append many rows; returns number inserted.
+
+        Types are checked one column at a time: when every row is a
+        tuple of the schema's width and every value already has its
+        column's storage type (as engine-produced results do), the
+        tuples are adopted as they are.  Any other input — lists, wrong
+        widths, bools, ints for FLOAT columns, subclasses, ``None`` —
+        goes through :meth:`TableSchema.validate_row` row by row, with
+        its coercions and errors; rows before a bad one stay loaded.
+        An iterator is drained into a list before any row is stored.
+        """
+        if not isinstance(rows, list):
+            rows = list(rows)
+        if self._canonical(rows):
+            self._rows.extend(rows)
+        else:
+            validate_row = self.schema.validate_row
+            for row in rows:
+                self._rows.append(validate_row(row))
         self._invalidate_caches()
-        return count
+        return len(rows)
+
+    def _canonical(self, rows: list) -> bool:
+        """Whether every row is a tuple of the schema's width whose
+        values have exactly their column's storage type."""
+        width = len(self.schema.columns)
+        if set(map(type, rows)) - {tuple} or set(map(len, rows)) - {width}:
+            return False
+        return all(
+            set(map(type, map(itemgetter(i), rows))) <= {col.dtype.python_type}
+            for i, col in enumerate(self.schema.columns)
+        )
 
     def cluster_on(self, column_name: str) -> None:
         """Physically sort rows on *column_name* (clustered-index order).
@@ -128,7 +154,7 @@ class Table:
         """
         stats = TableStatistics(cardinality=self.cardinality)
         for i, col in enumerate(self.schema.columns):
-            col_stats = ColumnStatistics.from_values(r[i] for r in self._rows)
+            col_stats = ColumnStatistics.from_values(map(itemgetter(i), self._rows))
             if (
                 build_histograms
                 and self._rows
@@ -167,6 +193,13 @@ class Table:
         """All values of one column, in physical row order."""
         pos = self.schema.position(column_name)
         return [r[pos] for r in self._rows]
+
+    def cached_column_array(self, column_name: str) -> np.ndarray | None:
+        """The column's numpy view if :meth:`column_array` already built
+        it since the last mutation, else None (never builds one)."""
+        if self._column_arrays is None:
+            return None
+        return self._column_arrays.get(column_name)
 
     def column_array(self, column_name: str) -> np.ndarray:
         """Columnar (numpy) view of one column, cached until mutation.

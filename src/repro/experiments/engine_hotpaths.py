@@ -7,8 +7,12 @@ row-at-a-time functions (``filter_rows``, ``_match_pairs_scalar`` with
 ``_project_join``'s list-pairs branch, ``EquiDepthHistogram._build_scalar``
 — the code the engine falls back to when numpy cannot decide) and
 through the engine's own entry point, which takes the numpy-batched
-path on these inputs.  The outputs are asserted equal before any timing
-is taken.  A second set of cases replays access paths through a
+path on these inputs.  The ``temp_table_load`` case compares the
+temp-table materialization the engine used to run (``validate_row`` on
+every row, then a per-value statistics loop) with ``Table.bulk_load``
+plus ``Table.analyze`` on engine-produced rows.  The outputs are
+asserted equal before any timing is taken.  A second set of cases
+replays access paths through a
 :class:`~repro.engine.buffer.BufferPool` and reports how physical I/O
 collapses between a cold and a warm cache.
 
@@ -181,6 +185,44 @@ def _scalar_join(left: Table, right: Table, query: JoinQuery):
     return _project_join(left, right, query, pairs)
 
 
+def _loop_statistics(values) -> tuple:
+    """Column statistics by the per-value loop ``ColumnStatistics``
+    ran before it used the ``min``/``max``/``set`` builtins."""
+    minimum = None
+    maximum = None
+    distinct = set()
+    for v in values:
+        if minimum is None or v < minimum:
+            minimum = v
+        if maximum is None or v > maximum:
+            maximum = v
+        distinct.add(v)
+    return minimum, maximum, len(distinct)
+
+
+def _row_by_row_materialize(schema: TableSchema, rows) -> tuple[list, dict]:
+    """Temp-table materialization as it ran before column-wise type
+    checks: ``validate_row`` on every row, then the per-value loop."""
+    loaded = [schema.validate_row(row) for row in rows]
+    stats = {
+        col.name: _loop_statistics(r[i] for r in loaded)
+        for i, col in enumerate(schema.columns)
+    }
+    return loaded, stats
+
+
+def _column_wise_materialize(schema: TableSchema, rows) -> tuple[list, dict]:
+    """Temp-table materialization through the engine: ``bulk_load``
+    then ``analyze``."""
+    table = Table(schema)
+    table.bulk_load(rows)
+    stats = {
+        name: (cs.minimum, cs.maximum, cs.distinct_count)
+        for name, cs in table.analyze().columns.items()
+    }
+    return table.rows(), stats
+
+
 def run_engine_hotpaths(
     config: ExperimentConfig | None = None,
     scan_rows: int | None = None,
@@ -235,6 +277,20 @@ def run_engine_hotpaths(
     )
     result.cases.append(
         HotpathCase("histogram_build", scan_rows, histogram.num_buckets, s, v)
+    )
+
+    # -- temp-table load: engine-produced rows into a fresh table --------
+    produced = seq_scan(
+        scan_table, SelectQuery("H", ("a", "b", "c"), scan_query.predicate)
+    ).result.rows
+    temp_schema = TableSchema("T", scan_table.schema.columns)
+    s, v, (loaded, _) = _time_paths(
+        lambda: _row_by_row_materialize(temp_schema, produced),
+        lambda: _column_wise_materialize(temp_schema, produced),
+        lambda scalar_out, vector_out: vector_out == scalar_out,
+    )
+    result.cases.append(
+        HotpathCase("temp_table_load", len(produced), len(loaded), s, v)
     )
 
     # -- buffer pool: physical I/O cold vs warm --------------------------

@@ -174,8 +174,12 @@ class MDBSAgent:
     ) -> None:
         """Materialize shipped rows as a local temporary table.
 
-        Incoming values are stored as-is; columns are typed from the first
-        row (INT/FLOAT/STR), defaulting to FLOAT for empty shipments.
+        Columns are typed from the first row (INT/FLOAT/STR), defaulting
+        to FLOAT for empty shipments, and every row is validated against
+        those types as any bulk load is: ints arriving in a FLOAT column
+        are coerced to float, and a mistyped value raises.  Rows that
+        are tuples of canonical-type values — every engine-produced
+        result — are adopted without copying.
         """
         if self.database.catalog.has_table(name):
             self.drop_temp_table(name)
@@ -196,3 +200,10 @@ class MDBSAgent:
 
     def drop_temp_table(self, name: str) -> None:
         self.database.catalog.drop_table(name)
+
+    def drop_temp_tables(self, *names: str) -> None:
+        """Drop whichever of *names* exist — cleanup after a failed
+        materialization, which must not mask the original error."""
+        for name in names:
+            if self.database.catalog.has_table(name):
+                self.drop_temp_table(name)

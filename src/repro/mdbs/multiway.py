@@ -364,9 +364,9 @@ class MultiwayExecutor:
             agent = self.server.agents[step.join_site]
             safe_acc = [f"c{i}" for i in range(len(acc_columns))]
             safe_next = [f"d{i}" for i in range(len(next_columns))]
-            agent.create_temp_table("_m_acc", safe_acc, acc_widths, acc_rows)
-            agent.create_temp_table("_m_next", safe_next, next_widths, next_rows)
             try:
+                agent.create_temp_table("_m_acc", safe_acc, acc_widths, acc_rows)
+                agent.create_temp_table("_m_next", safe_next, next_widths, next_rows)
                 join_query = JoinQuery(
                     "_m_acc",
                     "_m_next",
@@ -377,8 +377,7 @@ class MultiwayExecutor:
                 )
                 join_result = agent.execute(join_query)
             finally:
-                agent.drop_temp_table("_m_acc")
-                agent.drop_temp_table("_m_next")
+                agent.drop_temp_tables("_m_acc", "_m_next")
             timings.append(
                 StepTiming(
                     f"join {operand.table} at {step.join_site}", join_result.elapsed

@@ -66,7 +66,7 @@ def _estimate_at(plan: GlobalPlan, index: int) -> CostEstimate | None:
     return estimates[index] if index < len(estimates) else None
 
 
-@dataclass
+@dataclass(slots=True)
 class StepTiming:
     """Observed elapsed time of one plan step."""
 
@@ -85,7 +85,7 @@ class _OnlineFormState:
     updater: object | None
 
 
-@dataclass
+@dataclass(slots=True)
 class GlobalExecution:
     """Result of executing one global query."""
 
@@ -589,18 +589,18 @@ class MDBSServer:
         right_widths = [right_facts.column_widths[c] for c in components.right.columns]
         left_rows = left_result.result.rows
         right_rows = right_result.result.rows
-        with obs.span(
-            "mdbs.step.materialize",
-            site=join_agent.site,
-            rows=len(left_rows) + len(right_rows),
-        ):
-            join_agent.create_temp_table(
-                _TEMP_LEFT, components.left.columns, left_widths, left_rows
-            )
-            join_agent.create_temp_table(
-                _TEMP_RIGHT, components.right.columns, right_widths, right_rows
-            )
         try:
+            with obs.span(
+                "mdbs.step.materialize",
+                site=join_agent.site,
+                rows=len(left_rows) + len(right_rows),
+            ):
+                join_agent.create_temp_table(
+                    _TEMP_LEFT, components.left.columns, left_widths, left_rows
+                )
+                join_agent.create_temp_table(
+                    _TEMP_RIGHT, components.right.columns, right_widths, right_rows
+                )
             join_query = JoinQuery(
                 _TEMP_LEFT,
                 _TEMP_RIGHT,
@@ -620,8 +620,7 @@ class MDBSServer:
                 query, components, join_result
             )
         finally:
-            join_agent.drop_temp_table(_TEMP_LEFT)
-            join_agent.drop_temp_table(_TEMP_RIGHT)
+            join_agent.drop_temp_tables(_TEMP_LEFT, _TEMP_RIGHT)
 
         return GlobalExecution(
             plan=plan, column_names=column_names, rows=rows, steps=steps

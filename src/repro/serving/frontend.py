@@ -81,7 +81,7 @@ def _trace_query_label(query: GlobalJoinQuery) -> str:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class ServingTicket:
     """One served request and its outcome.
 

@@ -26,6 +26,7 @@ class TestRunner:
         result = run_engine_hotpaths(TINY, scan_rows=3_000, join_rows=1_500)
         assert [c.name for c in result.cases] == [
             "seq_scan", "hash_join", "sort_merge_join", "histogram_build",
+            "temp_table_load",
         ]
         assert result.scan_rows == 3_000 and result.join_rows == 1_500
         for case in result.cases:
@@ -35,6 +36,10 @@ class TestRunner:
         # The scan reduced the operand; the joins matched every key.
         assert 0 < result.case("seq_scan").output_cardinality < 3_000
         assert result.case("hash_join").output_cardinality > 0
+        # The temp table holds every row the scan selected.
+        load = result.case("temp_table_load")
+        assert load.rows == load.output_cardinality
+        assert load.rows == result.case("seq_scan").output_cardinality
 
     def test_buffer_cases_warm_to_full_hits(self):
         result = run_engine_hotpaths(TINY, scan_rows=3_000, join_rows=1_500)
@@ -77,6 +82,7 @@ class TestPayload:
         assert payload["repeats"] == REPEATS
         assert {c["name"] for c in payload["cases"]} == {
             "seq_scan", "hash_join", "sort_merge_join", "histogram_build",
+            "temp_table_load",
         }
         for case in payload["cases"]:
             assert case["speedup"] > 0.0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.errors import QueryError
 from repro.engine.predicate import Comparison, TRUE
+from repro.mdbs.agent import MDBSAgent
 from repro.mdbs.multiway import (
     JoinLink,
     MultiJoinQuery,
@@ -160,6 +161,25 @@ class TestExecution:
     def test_temp_tables_cleaned_up(self, mini_mdbs):
         server, sites = mini_mdbs
         MultiwayExecutor(server).execute(make_query())
+        for site in sites.values():
+            assert not site.database.catalog.has_table("_m_acc")
+            assert not site.database.catalog.has_table("_m_next")
+
+    def test_failed_create_leaves_no_temp_tables(self, mini_mdbs, monkeypatch):
+        server, sites = mini_mdbs
+        original = MDBSAgent.create_temp_table
+        calls = []
+
+        def create(self, name, *args):
+            calls.append(name)
+            if name == "_m_next":
+                raise RuntimeError("cannot materialize _m_next")
+            return original(self, name, *args)
+
+        monkeypatch.setattr(MDBSAgent, "create_temp_table", create)
+        with pytest.raises(RuntimeError, match="cannot materialize"):
+            MultiwayExecutor(server).execute(make_query())
+        assert calls == ["_m_acc", "_m_next"]
         for site in sites.values():
             assert not site.database.catalog.has_table("_m_acc")
             assert not site.database.catalog.has_table("_m_next")

@@ -9,6 +9,7 @@ one *connected* span tree per request.
 import pytest
 
 from repro import obs
+from repro.mdbs.agent import MDBSAgent
 from repro.mdbs.gquery import GlobalJoinQuery
 from repro.serving import ServingConfig, ServingFrontEnd
 
@@ -304,3 +305,41 @@ class TestLifecycle:
         assert isinstance(failed.error, Exception)
         assert ok.ok
         assert stats.failed == 1 and stats.completed == 1
+
+
+def _failing_second_create(monkeypatch, mode):
+    """Make the second ``create_temp_table`` of each request fail:
+    ``"raise"`` before touching the catalog, ``"bool"`` inside the real
+    create (a boolean the column typing rejects)."""
+    original = MDBSAgent.create_temp_table
+    calls = []
+
+    def create(self, name, column_names, column_widths, rows):
+        calls.append(name)
+        if len(calls) % 2 == 0:
+            if mode == "raise":
+                raise RuntimeError(f"cannot materialize {name}")
+            rows = [(True,) * len(column_names)]
+        return original(self, name, column_names, column_widths, rows)
+
+    monkeypatch.setattr(MDBSAgent, "create_temp_table", create)
+    return calls
+
+
+class TestMaterializationFailure:
+    @pytest.mark.parametrize(
+        "mode, error", [("raise", RuntimeError), ("bool", TypeError)]
+    )
+    def test_failed_create_propagates_and_leaves_no_temp_tables(
+        self, serving_mdbs, monkeypatch, mode, error
+    ):
+        server, sites = serving_mdbs
+        calls = _failing_second_create(monkeypatch, mode)
+        with ServingFrontEnd(server, ServingConfig(workers=1)) as frontend:
+            ticket = frontend.serve(query_mix()[:1])[0]
+        assert calls == ["_g_left", "_g_right"]
+        assert ticket.status == "failed"
+        assert isinstance(ticket.error, error)
+        for site in sites.values():
+            assert not site.database.catalog.has_table("_g_left")
+            assert not site.database.catalog.has_table("_g_right")
