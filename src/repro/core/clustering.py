@@ -10,12 +10,13 @@ criterion used to merge two clusters is to make their distance minimized
 Probing costs are one-dimensional, which lets us exploit a classical
 fact: under centroid-distance linkage on the line, the globally closest
 pair of clusters is always adjacent in sorted order, so only neighbour
-merges need to be considered and the whole agglomeration runs in
-O(n log n) after sorting.
+merges need to be considered; keeping the neighbour gaps in a heap makes
+the whole agglomeration O(n log n).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,21 +61,49 @@ def agglomerate(values: Sequence[float], num_clusters: int) -> list[Cluster]:
     if not data:
         raise ValueError("cannot cluster an empty sample")
     clusters = [Cluster(1, v, v, v) for v in data]
-    if num_clusters >= len(clusters):
+    n = len(clusters)
+    if num_clusters >= n:
         return clusters
 
-    # Neighbour-only merging is exact for 1-D centroid linkage.
-    while len(clusters) > num_clusters:
-        best_idx = 0
-        best_gap = clusters[1].centroid - clusters[0].centroid
-        for i in range(1, len(clusters) - 1):
-            gap = clusters[i + 1].centroid - clusters[i].centroid
-            if gap < best_gap:
-                best_gap = gap
-                best_idx = i
-        merged = clusters[best_idx].merged_with(clusters[best_idx + 1])
-        clusters[best_idx : best_idx + 2] = [merged]
-    return clusters
+    # Neighbour-only merging is exact for 1-D centroid linkage.  Live
+    # clusters are linked by the sorted position of their first member;
+    # a merge keeps the left one's position.  The heap holds every
+    # adjacent gap keyed (gap, left position), so ties break toward the
+    # leftmost pair; an entry is stale once either side has merged
+    # since it was pushed (its version moved on) and is skipped.
+    following = list(range(1, n + 1))  # n marks the last cluster
+    preceding = list(range(-1, n - 1))  # -1 marks the first
+    version = [0] * n
+    heap = [
+        (clusters[i + 1].centroid - clusters[i].centroid, i, i + 1, 0, 0)
+        for i in range(n - 1)
+    ]
+    heapq.heapify(heap)
+    live = n
+    while live > num_clusters:
+        _, i, j, vi, vj = heapq.heappop(heap)
+        if version[i] != vi or version[j] != vj:
+            continue
+        clusters[i] = clusters[i].merged_with(clusters[j])
+        version[i] += 1
+        version[j] += 1
+        live -= 1
+        k = following[j]
+        following[i] = k
+        if k < n:
+            preceding[k] = i
+            gap = clusters[k].centroid - clusters[i].centroid
+            heapq.heappush(heap, (gap, i, k, version[i], version[k]))
+        h = preceding[i]
+        if h >= 0:
+            gap = clusters[i].centroid - clusters[h].centroid
+            heapq.heappush(heap, (gap, h, i, version[h], version[i]))
+    merged = []
+    i = 0
+    while i < n:
+        merged.append(clusters[i])
+        i = following[i]
+    return merged
 
 
 def merge_small_clusters(clusters: list[Cluster], min_count: int) -> list[Cluster]:

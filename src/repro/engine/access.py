@@ -1,7 +1,8 @@
 """Unary access methods: sequential scan and index scans.
 
-Each access method returns the materialized result *and* the physical
-work it performed, plus an :class:`~repro.engine.metrics.AccessInfo`
+Each access method returns the result (its row tuples built on first
+read, see :meth:`ResultTable.deferred`) *and* the physical work it
+performed, plus an :class:`~repro.engine.metrics.AccessInfo`
 describing the globally observable facts (operand / intermediate sizes)
 that the paper's cost-model variables are built from.
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 
 import numpy as np
@@ -42,55 +42,70 @@ class UnaryExecution:
     info: AccessInfo
 
 
-def _project(table: Table, query: SelectQuery, rows) -> ResultTable:
-    """Apply the query's projection to matching rows."""
+def _project(table: Table, query: SelectQuery, rows, ids: np.ndarray) -> ResultTable:
+    """Apply the query's projection to the matching rows: the entries of
+    *rows* at the positions *ids* (a numpy integer array), in that order.
+
+    The result's cardinality is known at once; the projected tuples are
+    built on its first :attr:`~ResultTable.rows` read.
+    """
     out_cols = query.output_columns(table.schema)
     positions = [table.schema.position(c) for c in out_cols]
     tuple_length = table.schema.projected_tuple_length(out_cols)
-    # One C-level itemgetter call per row; a single column still yields
-    # 1-tuples.
-    if len(positions) == 1:
-        projected = [(v,) for v in map(itemgetter(positions[0]), rows)]
-    else:
-        projected = list(map(itemgetter(*positions), rows))
-    return ResultTable(out_cols, tuple_length, projected)
+
+    def build() -> list:
+        picked = map(rows.__getitem__, ids.tolist())
+        # One C-level itemgetter call per row; a single column still
+        # yields 1-tuples.
+        if len(positions) == 1:
+            return [(v,) for v in map(itemgetter(positions[0]), picked)]
+        return list(map(itemgetter(*positions), picked))
+
+    return ResultTable.deferred(out_cols, tuple_length, len(ids), build)
 
 
 def _finalize(
-    table: Table, query: SelectQuery, matching: list, metrics: ExecutionMetrics
+    table: Table, query: SelectQuery, rows, ids: np.ndarray, metrics: ExecutionMetrics
 ) -> ResultTable:
-    """ORDER BY, LIMIT, and projection over the matching rows.
+    """ORDER BY, LIMIT, and projection over the matching rows (the
+    entries of *rows* at *ids*, see :func:`_project`).
 
-    Sorting is charged as n·log2(n) comparisons on the *matching* set
-    (sorting precedes LIMIT, as in SQL semantics); the limit then caps
-    the output-tuple count.
+    Sorting reorders *ids* here and is charged as n·log2(n) comparisons
+    on the *matching* set (sorting precedes LIMIT, as in SQL semantics);
+    the limit then caps the output-tuple count.
     """
     if query.order_by:
-        metrics.sort_comparisons += sort_comparisons_for(len(matching))
+        metrics.sort_comparisons += sort_comparisons_for(len(ids))
+        order = ids.tolist()
         for column, ascending in reversed(query.order_by):
             pos = table.schema.position(column)
-            matching = sorted(matching, key=lambda r: r[pos], reverse=not ascending)
+            order.sort(key=lambda i: rows[i][pos], reverse=not ascending)
+        ids = np.array(order, dtype=np.intp)
     if query.limit is not None:
-        matching = matching[: query.limit]
-    result = _project(table, query, matching)
+        ids = ids[: query.limit]
+    result = _project(table, query, rows, ids)
     metrics.tuples_output = result.cardinality
     return result
 
 
 def _filter_table(
     table: Table, predicate: Predicate, metrics: ExecutionMetrics
-) -> list:
-    """Predicate over every row: a batch mask when the predicate has one,
-    :func:`filter_rows` otherwise.
+) -> tuple[list, np.ndarray]:
+    """Predicate over every row, as ``(rows, ids)`` for :func:`_finalize`:
+    the table's row list and the positions of its matches, from a batch
+    mask when the predicate has one, a row loop otherwise.
 
     Charges one predicate evaluation per row either way — the batched
     path does the same logical work, just without the interpreter loop.
     """
     metrics.tuples_evaluated += table.cardinality
+    rows = table.rows()
     mask = predicate.evaluate_batch(table)
     if mask is None:
-        return filter_rows(table, predicate)
-    return list(compress(table.rows(), mask.tolist()))
+        schema = table.schema
+        keep = [i for i, row in enumerate(rows) if predicate.evaluate(row, schema)]
+        return rows, np.array(keep, dtype=np.intp)
+    return rows, np.flatnonzero(mask)
 
 
 def seq_scan(
@@ -102,8 +117,8 @@ def seq_scan(
     charge_sequential_pages(metrics, pool, table.name, table.num_pages)
     metrics.tuples_read = table.cardinality
 
-    matching = _filter_table(table, query.predicate, metrics)
-    result = _finalize(table, query, matching, metrics)
+    rows, ids = _filter_table(table, query.predicate, metrics)
+    result = _finalize(table, query, rows, ids, metrics)
     info = AccessInfo(
         method="seq_scan",
         operand_cardinality=table.cardinality,
@@ -117,27 +132,24 @@ def seq_scan(
 
 def _filter_row_ids(
     table: Table, row_ids: list[int], residual: Predicate, metrics: ExecutionMetrics
-) -> list:
-    """Residual predicate over the indexed row ids, batched when possible.
+) -> tuple[list, np.ndarray]:
+    """Residual predicate over the indexed row ids, batched when possible;
+    returns ``(rows, ids)`` as :func:`_filter_table` does.
 
     The batched path evaluates the residual over the *whole* table once
     (columnar views are already materialized) and intersects with the
     fetched ids — per-row work identical, charged per fetched id.
     """
     metrics.tuples_evaluated += len(row_ids)
+    rows = table.rows()
     if row_ids:
         mask = residual.evaluate_batch(table)
         if mask is not None:
             ids = np.asarray(row_ids, dtype=np.intp)
-            keep = ids[mask[ids]]
-            rows = table.rows()
-            return [rows[i] for i in keep]
-    matching = []
-    for rid in row_ids:
-        row = table.row(rid)
-        if residual.evaluate(row, table.schema):
-            matching.append(row)
-    return matching
+            return rows, ids[mask[ids]]
+    schema = table.schema
+    keep = [rid for rid in row_ids if residual.evaluate(rows[rid], schema)]
+    return rows, np.array(keep, dtype=np.intp)
 
 
 def clustered_index_scan(
@@ -187,8 +199,8 @@ def clustered_index_scan(
             )
     metrics.tuples_read = len(row_ids)
 
-    matching = _filter_row_ids(table, row_ids, residual, metrics)
-    result = _finalize(table, query, matching, metrics)
+    rows, ids = _filter_row_ids(table, row_ids, residual, metrics)
+    result = _finalize(table, query, rows, ids, metrics)
     info = AccessInfo(
         method="clustered_index_scan",
         operand_cardinality=table.cardinality,
@@ -245,8 +257,8 @@ def nonclustered_index_scan(
         )
     metrics.tuples_read = k
 
-    matching = _filter_row_ids(table, row_ids, residual, metrics)
-    result = _finalize(table, query, matching, metrics)
+    rows, ids = _filter_row_ids(table, row_ids, residual, metrics)
+    result = _finalize(table, query, rows, ids, metrics)
     info = AccessInfo(
         method="nonclustered_index_scan",
         operand_cardinality=table.cardinality,
@@ -257,6 +269,7 @@ def nonclustered_index_scan(
 
 
 def filter_rows(table: Table, predicate: Predicate) -> list:
-    """Row-at-a-time full filter: the fallback for predicates without a
-    batch mask, and the reference the batched scans are tested against."""
+    """Row-at-a-time full filter: the fallback for join operands whose
+    predicate has no batch mask, and the reference the scans are tested
+    against."""
     return [row for row in table if predicate.evaluate(row, table.schema)]

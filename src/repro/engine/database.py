@@ -179,7 +179,11 @@ class LocalDatabase:
     # -- execution --------------------------------------------------------------
 
     def execute(self, query: Query | str) -> QueryResult:
-        """Execute *query*, returning result rows plus timing under load."""
+        """Execute *query*, returning its result plus timing under load.
+
+        The result's row tuples are built on the first read of
+        ``result.rows``; its cardinality and tuple length are known now.
+        """
         with obs.span("engine.execute") as sp:
             if isinstance(query, str):
                 query = self.parse(query)

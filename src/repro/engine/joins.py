@@ -229,7 +229,12 @@ def _match_pairs(left_rows, right_rows, lpos: int, rpos: int):
 def _project_join(
     left: Table, right: Table, query: JoinQuery, pairs
 ) -> ResultTable:
-    """Project matched row pairs onto the query's qualified output columns."""
+    """Project matched row pairs onto the query's qualified output columns.
+
+    The result's cardinality is ``len(pairs)``; its tuples are built on
+    the first :attr:`~ResultTable.rows` read, from the pairs and from
+    the column arrays chosen here.
+    """
     out_cols = query.output_columns(left.schema, right.schema)
     extractors = []
     tuple_length = 0
@@ -254,32 +259,50 @@ def _project_join(
         # Otherwise — e.g. a fresh temp table projecting a few matches —
         # use a fused C-level map over the index list, which shares the
         # row's value objects.  Both produce equal Python values
-        # (int64/float64/unicode round-trip exactly).
-        columns = []
+        # (int64/float64/unicode round-trip exactly).  The arrays are
+        # chosen now, so later changes to the tables cannot reach the
+        # result.
+        sources = []
         for side, pos, cname in extractors:
             table_, rows_, idx_array = (
                 (left, pairs.left_rows, pairs.left_idx_array)
                 if side == "l"
                 else (right, pairs.right_rows, pairs.right_idx_array)
             )
+            array = None
             if rows_ is table_.rows():
                 array = table_.cached_column_array(cname)
                 if array is None and len(idx_array) >= len(rows_):
                     array = table_.column_array(cname)
-                if array is not None and array.dtype.kind in "iufU":
+                if array is not None and array.dtype.kind not in "iufU":
+                    array = None
+            sources.append((side, pos, array))
+
+        def build() -> list:
+            columns = []
+            for side, pos, array in sources:
+                if side == "l":
+                    rows_, idx_array = pairs.left_rows, pairs.left_idx_array
+                else:
+                    rows_, idx_array = pairs.right_rows, pairs.right_idx_array
+                if array is not None:
                     columns.append(array[idx_array].tolist())
                     continue
-            idx = pairs.left_idx if side == "l" else pairs.right_idx
-            columns.append(
-                list(map(itemgetter(pos), map(rows_.__getitem__, idx)))
-            )
-        rows = list(zip(*columns))
+                idx = pairs.left_idx if side == "l" else pairs.right_idx
+                columns.append(
+                    list(map(itemgetter(pos), map(rows_.__getitem__, idx)))
+                )
+            return list(zip(*columns))
+
     else:
-        rows = [
-            tuple(lrow[p] if side == "l" else rrow[p] for side, p, _ in extractors)
-            for lrow, rrow in pairs
-        ]
-    return ResultTable(out_cols, tuple_length, rows)
+
+        def build() -> list:
+            return [
+                tuple(lrow[p] if side == "l" else rrow[p] for side, p, _ in extractors)
+                for lrow, rrow in pairs
+            ]
+
+    return ResultTable.deferred(out_cols, tuple_length, len(pairs), build)
 
 
 def _operand_info(

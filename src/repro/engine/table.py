@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numbers
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -136,7 +136,10 @@ class Table:
         that ordering for callers.
         """
         pos = self.schema.position(column_name)
-        self._rows.sort(key=lambda r: r[pos])
+        # Rebind rather than sort in place: a Table only appends rows or
+        # rebinds its list, so a deferred query result that keeps the
+        # old list still reads the rows it selected.
+        self._rows = sorted(self._rows, key=lambda r: r[pos])
         self.clustered_on = column_name
         self._invalidate_caches()
 
@@ -228,29 +231,82 @@ class Table:
 
 
 class ResultTable:
-    """A lightweight materialized query result.
+    """A query result: column names, result tuple length, and rows.
 
     Carries just enough structure for the cost-model variables: result
-    cardinality and result tuple length.
+    cardinality and result tuple length.  Both are known when the query
+    has run; the row tuples are built only when a consumer first reads
+    :attr:`rows` (see :meth:`deferred`), then cached, so every read
+    returns the same list.  Sampling reads only the global facts and
+    never pays for the tuples.
     """
+
+    __slots__ = ("column_names", "tuple_length", "_cardinality", "_rows", "_build")
 
     def __init__(self, column_names: Sequence[str], tuple_length: int, rows: list[Row]):
         if len(set(column_names)) != len(column_names):
             raise SchemaError("duplicate column names in result")
         self.column_names = tuple(column_names)
         self.tuple_length = tuple_length
-        self.rows = rows
+        self._cardinality = len(rows)
+        self._rows: list[Row] | None = rows
+        self._build: Callable[[], list[Row]] | None = None
+
+    @classmethod
+    def deferred(
+        cls,
+        column_names: Sequence[str],
+        tuple_length: int,
+        cardinality: int,
+        build: Callable[[], list[Row]],
+    ) -> "ResultTable":
+        """A result of *cardinality* rows that ``build()`` produces on the
+        first read of :attr:`rows`.
+
+        *build* must return the same rows whenever it runs: it may keep
+        row tuples, numpy arrays and a table's row list, which stay
+        valid because a :class:`Table` only appends rows or rebinds its
+        list.
+        """
+        result = cls(column_names, tuple_length, [])
+        result._cardinality, result._rows, result._build = cardinality, None, build
+        return result
+
+    @property
+    def rows(self) -> list[Row]:
+        """The result tuples, built on first read and cached."""
+        rows = self._rows
+        if rows is None:
+            assert self._build is not None
+            rows = self._build()
+            if len(rows) != self._cardinality:
+                raise AssertionError(
+                    f"result built {len(rows)} rows, expected {self._cardinality}"
+                )
+            self._rows = rows
+            self._build = None
+        return rows
 
     @property
     def cardinality(self) -> int:
-        return len(self.rows)
+        return self._cardinality
 
     @property
     def table_length(self) -> int:
-        return self.cardinality * self.tuple_length
+        return self._cardinality * self.tuple_length
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._cardinality
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
+
+    def __getstate__(self) -> tuple:
+        # Pickles and copies carry built rows, never the build closure.
+        return self.column_names, self.tuple_length, self.rows
+
+    def __setstate__(self, state: tuple) -> None:
+        self.column_names, self.tuple_length, rows = state
+        self._cardinality = len(rows)
+        self._rows = rows
+        self._build = None

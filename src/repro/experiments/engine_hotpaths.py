@@ -10,9 +10,12 @@ through the engine's own entry point, which takes the numpy-batched
 path on these inputs.  The ``temp_table_load`` case compares the
 temp-table materialization the engine used to run (``validate_row`` on
 every row, then a per-value statistics loop) with ``Table.bulk_load``
-plus ``Table.analyze`` on engine-produced rows.  The outputs are
-asserted equal before any timing is taken.  A second set of cases
-replays access paths through a
+plus ``Table.analyze`` on engine-produced rows.  The
+``sample_collection`` case times :func:`collect_observations` on the
+preset's G1 and G3 training samples against the same loop reading every
+executed result's rows, as sampling did before results built their
+tuples on first read.  The outputs are asserted equal before any timing
+is taken.  A second set of cases replays access paths through a
 :class:`~repro.engine.buffer.BufferPool` and reports how physical I/O
 collapses between a cold and a warm cache.
 
@@ -26,10 +29,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-from ..engine.access import _project, filter_rows, seq_scan
+from ..core.classification import G1, G3
+from ..core.probing import default_probing_query
+from ..core.sampling import collect_observations
+from ..engine.access import filter_rows, seq_scan
 from ..engine.buffer import BufferPool
 from ..engine.histogram import EquiDepthHistogram
 from ..engine.joins import (
@@ -39,10 +46,12 @@ from ..engine.joins import (
     sort_merge_join,
 )
 from ..engine.predicate import And, Comparison
+from ..engine.profiles import ORACLE_LIKE
 from ..engine.query import JoinQuery, SelectQuery
 from ..engine.schema import Column, TableSchema
 from ..engine.table import Table
 from ..engine.types import DataType
+from ..workload.scenarios import make_site
 from .config import ExperimentConfig
 from .report import format_table
 
@@ -52,6 +61,10 @@ REPEATS = 3
 
 #: Histogram buckets for the build microbenchmark.
 HISTOGRAM_BUCKETS = 32
+
+#: Smallest table scale the sample-collection case runs at (the quick
+#: preset's), as the scan and join cases floor their row counts.
+SAMPLE_SCALE = 0.02
 
 
 @dataclass
@@ -145,6 +158,10 @@ def _join_table(name: str, rows: int, seed: int) -> Table:
     return table
 
 
+def _equal(scalar_out, vector_out) -> bool:
+    return vector_out == scalar_out
+
+
 def _time_paths(scalar, vectorized, same) -> tuple[float, float, object]:
     """Best-of-:data:`REPEATS` seconds for (scalar, vectorized) runs,
     plus the vectorized result.
@@ -167,11 +184,18 @@ def _time_paths(scalar, vectorized, same) -> tuple[float, float, object]:
     return best(scalar), best(vectorized), vector_result
 
 
-def _same_rows(scalar_out, vector_out) -> bool:
-    return vector_out.result.rows == scalar_out.rows
+def _project_all(table: Table, query: SelectQuery, rows: list) -> list:
+    """The scan's projection over every row of *rows* (the reference
+    side's :func:`filter_rows` matches), built at once with one
+    ``itemgetter`` call per row, as the engine's scans projected their
+    matches before results built their tuples on first read."""
+    positions = [table.schema.position(c) for c in query.output_columns(table.schema)]
+    if len(positions) == 1:
+        return [(v,) for v in map(itemgetter(positions[0]), rows)]
+    return list(map(itemgetter(*positions), rows))
 
 
-def _scalar_join(left: Table, right: Table, query: JoinQuery):
+def _scalar_join(left: Table, right: Table, query: JoinQuery) -> list:
     """The engine's row-at-a-time join: hash-bucket matching and the
     list-pairs projection.  The bench query has no local selections, so
     both operands enter matching whole, as ``_reduce_operand`` passes
@@ -182,7 +206,25 @@ def _scalar_join(left: Table, right: Table, query: JoinQuery):
         left.schema.position(query.left_column),
         right.schema.position(query.right_column),
     )
-    return _project_join(left, right, query, pairs)
+    return _project_join(left, right, query, pairs).rows
+
+
+def _collect_reading_rows(database, queries, probe) -> list:
+    """:func:`collect_observations` with every executed result's rows
+    read (the probe's too), as sampling ran when the engine built each
+    result's tuples in ``execute``."""
+    execute = database.execute
+
+    def execute_and_read(query):
+        executed = execute(query)
+        executed.result.rows
+        return executed
+
+    database.execute = execute_and_read
+    try:
+        return collect_observations(database, queries, probe)
+    finally:
+        del database.execute
 
 
 def _loop_statistics(values) -> tuple:
@@ -243,16 +285,16 @@ def run_engine_hotpaths(
         ("a", "b"),
         And(Comparison("a", "<", 5_000), Comparison("b", ">=", 10)),
     )
+    # Both paths read the result's rows, so the timing covers the
+    # projection as well as the predicate.
     s, v, scan_out = _time_paths(
-        lambda: _project(
+        lambda: _project_all(
             scan_table, scan_query, filter_rows(scan_table, scan_query.predicate)
         ),
-        lambda: seq_scan(scan_table, scan_query),
-        _same_rows,
+        lambda: seq_scan(scan_table, scan_query).result.rows,
+        _equal,
     )
-    result.cases.append(
-        HotpathCase("seq_scan", scan_rows, scan_out.result.cardinality, s, v)
-    )
+    result.cases.append(HotpathCase("seq_scan", scan_rows, len(scan_out), s, v))
 
     # -- joins: operand reduction + equi-key matching --------------------
     left = _join_table("L", join_rows, seed=config.seed + 21)
@@ -261,19 +303,17 @@ def run_engine_hotpaths(
     for name, method in (("hash_join", hash_join), ("sort_merge_join", sort_merge_join)):
         s, v, join_out = _time_paths(
             lambda: _scalar_join(left, right, join_query),
-            lambda method=method: method(left, right, join_query),
-            _same_rows,
+            lambda method=method: method(left, right, join_query).result.rows,
+            _equal,
         )
-        result.cases.append(
-            HotpathCase(name, 2 * join_rows, join_out.result.cardinality, s, v)
-        )
+        result.cases.append(HotpathCase(name, 2 * join_rows, len(join_out), s, v))
 
     # -- histogram build: duplicate-run scanning -------------------------
     values = scan_table.column_values("a")
     s, v, histogram = _time_paths(
         lambda: EquiDepthHistogram._build_scalar(values, HISTOGRAM_BUCKETS),
         lambda: EquiDepthHistogram.build(values, HISTOGRAM_BUCKETS),
-        lambda scalar_out, vector_out: vector_out == scalar_out,
+        _equal,
     )
     result.cases.append(
         HotpathCase("histogram_build", scan_rows, histogram.num_buckets, s, v)
@@ -287,10 +327,40 @@ def run_engine_hotpaths(
     s, v, (loaded, _) = _time_paths(
         lambda: _row_by_row_materialize(temp_schema, produced),
         lambda: _column_wise_materialize(temp_schema, produced),
-        lambda scalar_out, vector_out: vector_out == scalar_out,
+        _equal,
     )
     result.cases.append(
         HotpathCase("temp_table_load", len(produced), len(loaded), s, v)
+    )
+
+    # -- sample collection: sampled queries paired with probes ----------
+    site = make_site(
+        "S",
+        profile=ORACLE_LIKE,
+        scale=max(SAMPLE_SCALE, config.scale),
+        seed=config.seed + 31,
+    )
+    database = site.database
+    samples = site.generator.queries_for(
+        G1, config.train_count("unary")
+    ) + site.generator.queries_for(
+        G3, config.train_count("join"), tables=config.join_tables
+    )
+    probe = default_probing_query(database)
+    start = database.save_state()
+
+    def from_start(collect):
+        # Every run replays the same simulated clock and noise draws.
+        database.restore_state(start)
+        return collect(database, samples, probe)
+
+    s, v, observations = _time_paths(
+        lambda: from_start(_collect_reading_rows),
+        lambda: from_start(collect_observations),
+        _equal,
+    )
+    result.cases.append(
+        HotpathCase("sample_collection", len(samples), len(observations), s, v)
     )
 
     # -- buffer pool: physical I/O cold vs warm --------------------------

@@ -72,6 +72,9 @@ class MDBSAgent:
         """Run a local query and return rows + observed elapsed time."""
         with obs.span("mdbs.agent.execute", site=self.site) as sp:
             result = self.database.execute(query)
+            # Every caller ships or joins the rows, so build them here,
+            # inside the site's step (results build them on first read).
+            result.result.rows
             if sp.recording:
                 sp.set_attribute("simulated_seconds", result.elapsed)
         return result

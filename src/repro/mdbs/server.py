@@ -31,6 +31,7 @@ provenance.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -199,11 +200,19 @@ class MDBSServer:
         """
         agent = self.agents[site]
         builder = builder or CostModelBuilder(agent.database, probe=agent.probe)
+        # The maintainer reaches back through a weak reference: a strong
+        # one would make server -> maintainer -> hook -> server a cycle
+        # that keeps every site's data alive until the cycle collector
+        # runs.
+        server = weakref.ref(self)
+
+        def publish(label: str, outcome: BuildOutcome) -> None:
+            owner = server()
+            if owner is not None:
+                owner._publish_outcome(site, outcome)
+
         maintainer = ModelMaintainer(
-            builder,
-            detector,
-            rebuild_period_seconds,
-            on_rebuild=lambda label, outcome: self._publish_outcome(site, outcome),
+            builder, detector, rebuild_period_seconds, on_rebuild=publish
         )
         self.maintainers[site] = maintainer
         if drift is not None:

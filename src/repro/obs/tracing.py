@@ -485,7 +485,13 @@ def span(
     name: str, trace_id: str | None = None, **attributes: Any
 ) -> Span | _NoopSpan:
     """A span from the global tracer (the one instrumentation calls)."""
-    return _active_tracer.span(name, trace_id=trace_id, **attributes)
+    tracer = _active_tracer
+    if not tracer.enabled:
+        # The disabled default answers before a second call re-packs
+        # the keyword arguments: engine hot paths make this call on
+        # every query.
+        return NOOP_SPAN
+    return tracer.span(name, trace_id=trace_id, **attributes)
 
 
 def current_trace_id() -> str | None:

@@ -133,3 +133,40 @@ def test_property_merge_small_respects_floor_or_collapses(values, k, floor):
     assert sum(c.count for c in clusters) == len(values)
     if len(clusters) > 1:
         assert all(c.count >= floor for c in clusters)
+
+
+def _agglomerate_by_rescan(values, num_clusters):
+    """The quadratic loop ``agglomerate`` used to run: rescan every
+    neighbour gap on each merge, leftmost pair on ties."""
+    clusters = [Cluster(1, v, v, v) for v in sorted(float(v) for v in values)]
+    while len(clusters) > num_clusters:
+        best_idx = 0
+        best_gap = clusters[1].centroid - clusters[0].centroid
+        for i in range(1, len(clusters) - 1):
+            gap = clusters[i + 1].centroid - clusters[i].centroid
+            if gap < best_gap:
+                best_gap = gap
+                best_idx = i
+        merged = clusters[best_idx].merged_with(clusters[best_idx + 1])
+        clusters[best_idx : best_idx + 2] = [merged]
+    return clusters
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # Few distinct values on a coarse grid force duplicates and equal
+    # gaps, so the tie-breaking rule is exercised, not just the order.
+    values=st.one_of(
+        st.lists(st.integers(0, 12).map(lambda v: v * 0.25), min_size=1, max_size=60),
+        st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=60,
+        ),
+    ),
+    k=st.integers(1, 12),
+)
+def test_property_heap_matches_rescan_loop(values, k):
+    """The heap agglomeration makes the same merges, with the same float
+    arithmetic, as the quadratic rescan it replaced."""
+    assert agglomerate(values, k) == _agglomerate_by_rescan(values, k)

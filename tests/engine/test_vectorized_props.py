@@ -14,8 +14,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.access import _project, filter_rows, seq_scan
+from repro.engine.access import (
+    _project,
+    clustered_index_scan,
+    filter_rows,
+    nonclustered_index_scan,
+    seq_scan,
+)
 from repro.engine.histogram import EquiDepthHistogram
+from repro.engine.index import Index, IndexKind
 from repro.engine.joins import (
     _match_pairs,
     _match_pairs_scalar,
@@ -91,15 +98,67 @@ class TestPredicateBatches:
 
 class TestScanEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(rows=int_rows, pred=predicate)
-    def test_seq_scan_rows_identical(self, rows, pred):
+    @given(
+        rows=int_rows,
+        pred=predicate,
+        order_by=st.sampled_from([(), (("b", True),), (("b", False), ("a", True))]),
+        limit=st.one_of(st.none(), st.integers(0, 20)),
+    )
+    def test_seq_scan_rows_identical(self, rows, pred, order_by, limit):
         table = make_table("t", rows)
-        query = SelectQuery("t", ("a", "b"), pred)
+        query = SelectQuery("t", ("a", "b"), pred, order_by=order_by, limit=limit)
         scan = seq_scan(table, query)
-        reference = _project(table, query, filter_rows(table, pred))
+        matched = filter_rows(table, pred)
+        for column, ascending in reversed(order_by):
+            pos = table.schema.position(column)
+            matched = sorted(matched, key=lambda r: r[pos], reverse=not ascending)
+        matched = matched[:limit]
+        reference = _project(table, query, matched, np.arange(len(matched)))
         assert scan.result.rows == reference.rows
         assert scan.metrics.tuples_evaluated == table.cardinality
         assert scan.metrics.tuples_output == len(reference.rows)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rows=int_rows,
+        pred=predicate,
+        method=st.sampled_from(["seq", "clustered", "nonclustered"]),
+        order_by=st.sampled_from([(), (("b", True),), (("b", False), ("a", True))]),
+        limit=st.one_of(st.none(), st.integers(0, 20)),
+        low=st.integers(-60, 60),
+        width=st.integers(0, 120),
+    )
+    def test_row_loop_scans_equal_batched_scans(
+        self, rows, pred, method, order_by, limit, low, width
+    ):
+        """Each scan method runs twice: once with a conjunct numpy
+        compares exactly, once with one it cannot (``b < 2**80``), which
+        sends the scan through its row-at-a-time filter.  Both conjuncts
+        hold for every row, so rows, their order and metrics must agree."""
+        table = make_table("t", rows)
+        if method == "clustered":
+            table.cluster_on("a")
+            table.analyze()
+
+        def run(bound):
+            # A bounded range on ``a`` for the index scans to serve.
+            key_range = And(Comparison("a", ">=", low), Comparison("a", "<=", low + width))
+            predicate = And(key_range, And(pred, Comparison("b", "<", bound)))
+            query = SelectQuery("t", ("b", "a"), predicate, order_by=order_by, limit=limit)
+            if method == "seq":
+                return seq_scan(table, query)
+            if method == "clustered":
+                index = Index("ix", table, "a", IndexKind.CLUSTERED)
+                return clustered_index_scan(table, index, query)
+            index = Index("ix", table, "a", IndexKind.NONCLUSTERED)
+            return nonclustered_index_scan(table, index, query)
+
+        if table.cardinality:
+            assert Comparison("b", "<", 2**80).evaluate_batch(table) is None
+        batched, looped = run(100), run(2**80)
+        assert looped.result.rows == batched.result.rows
+        assert looped.metrics == batched.metrics
+        assert looped.info == batched.info
 
 
 join_keys = st.lists(st.integers(0, 6), max_size=40)

@@ -26,7 +26,7 @@ class TestRunner:
         result = run_engine_hotpaths(TINY, scan_rows=3_000, join_rows=1_500)
         assert [c.name for c in result.cases] == [
             "seq_scan", "hash_join", "sort_merge_join", "histogram_build",
-            "temp_table_load",
+            "temp_table_load", "sample_collection",
         ]
         assert result.scan_rows == 3_000 and result.join_rows == 1_500
         for case in result.cases:
@@ -40,6 +40,10 @@ class TestRunner:
         load = result.case("temp_table_load")
         assert load.rows == load.output_cardinality
         assert load.rows == result.case("seq_scan").output_cardinality
+        # One observation per sampled G1 and G3 query.
+        sampled = result.case("sample_collection")
+        expected = TINY.train_count("unary") + TINY.train_count("join")
+        assert sampled.rows == sampled.output_cardinality == expected
 
     def test_buffer_cases_warm_to_full_hits(self):
         result = run_engine_hotpaths(TINY, scan_rows=3_000, join_rows=1_500)
@@ -82,7 +86,7 @@ class TestPayload:
         assert payload["repeats"] == REPEATS
         assert {c["name"] for c in payload["cases"]} == {
             "seq_scan", "hash_join", "sort_merge_join", "histogram_build",
-            "temp_table_load",
+            "temp_table_load", "sample_collection",
         }
         for case in payload["cases"]:
             assert case["speedup"] > 0.0

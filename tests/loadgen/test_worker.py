@@ -88,3 +88,41 @@ def test_deterministic_dict_drops_wall_fields(micro_config, trained_payload):
     assert "wall_latencies" not in payload
     assert "wall_seconds" not in payload
     assert report.wall_seconds > 0.0
+
+
+@pytest.mark.parametrize("scenario", ["calm", "regime_shift"])
+def test_run_shard_frees_its_universe_without_the_cycle_collector(
+    micro_config, trained_payload, monkeypatch, scenario
+):
+    """A shard's databases die by reference counting when it returns, so
+    dead universes never wait for a full collection to be reclaimed."""
+    import gc
+    import weakref
+
+    from repro.loadgen import worker
+    from repro.loadgen.faults import named_fault_plan
+
+    databases = []
+
+    def tracked_universe(config):
+        sites = make_universe(config)
+        databases.extend(weakref.ref(site.database) for site in sites)
+        return sites
+
+    monkeypatch.setattr(worker, "make_universe", tracked_universe)
+    task = ShardTask(
+        index=0,
+        scenario=scenario,
+        rounds=10,
+        gap_seconds=GAP,
+        config=micro_config,
+        faults=named_fault_plan("mixed", 1, 10, GAP).for_shard(0),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        run_shard(task, trained_payload)
+        alive = [ref() is not None for ref in databases]
+    finally:
+        gc.enable()
+    assert len(alive) == 2 and not any(alive)

@@ -68,7 +68,8 @@ class TestAccuracyTrackingOverhead:
         at least as expensive as the cheapest possible local select (two
         of them *are* selects; the ship and join cost strictly more), so
         4x the tight-loop query time is a hard lower bound on the work
-        the recording rides along with.
+        the recording rides along with.  The loop reads each result's
+        rows, as ``MDBSAgent.execute`` does for every plan step.
         """
         from repro.obs.quality import AccuracyTracker
 
@@ -80,7 +81,7 @@ class TestAccuracyTrackingOverhead:
             n = 60
             started = time.perf_counter()
             for _ in range(n):
-                small_database.execute(query)
+                small_database.execute(query).result.rows
             return (time.perf_counter() - started) / n
 
         tracker = AccuracyTracker(export=False)
